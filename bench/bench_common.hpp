@@ -1,7 +1,7 @@
 #pragma once
 // Shared reporting helpers for the experiment harness. Every bench binary
-// regenerates one experiment row-set from EXPERIMENTS.md: it prints a
-// human-readable table plus machine-parseable CSV lines prefixed "CSV,".
+// regenerates one experiment row-set: it prints a human-readable table
+// plus machine-parseable CSV lines prefixed "CSV,".
 // A BenchReport additionally persists the rows as BENCH_<tag>.json in the
 // working directory so successive PRs have a perf trajectory to diff
 // against (see scripts/check.sh).

@@ -76,7 +76,7 @@ void MapReduceSubstrate::multiplier_sweep(const SweepKernel& kernel) {
   // (deterministic shard order): one pass over its range per machine that
   // owns any edges.
   for (std::size_t s = 0; s < shards; ++s) {
-    if (shard_members_[s] > 0) shard_meters_[s].add_pass();
+    if (shard_members_[s] > 0) shard_meters_[s].add_passes();
   }
 }
 
@@ -85,7 +85,7 @@ void MapReduceSubstrate::charge_shard_draw() {
   const std::size_t shards =
       std::min(emissions.size(), shard_meters_.size());
   for (std::size_t s = 0; s < shards; ++s) {
-    shard_meters_[s].add_round();
+    shard_meters_[s].add_rounds();
     shard_meters_[s].add_messages(emissions[s]);
     shard_meters_[s].add_shuffle_bytes(emissions[s] *
                                        sizeof(mapreduce::KeyValue));
@@ -174,7 +174,7 @@ bool MapReduceSubstrate::predraw_batch(const std::vector<double>& prob,
     std::sort(cand.begin(), cand.end());
     cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
   }
-  meter_.add_pass();  // the batch's mappers read the input once
+  meter_.add_passes();  // the batch's mappers read the input once
   charge_shard_draw();
   batch_base_ = round;
   batch_t_ = t;
@@ -210,7 +210,7 @@ const core::SamplingRound& MapReduceSubstrate::adopt_cached(
     meter_.add_saved_rounds(1);
     meter_.add_saved_passes(1);
   }
-  meter_.store_edges(stored_total);
+  meter_.add_stored_edges(stored_total);
   if (j + 1 >= batch_candidates_.size()) batch_valid_ = false;  // exhausted
   return engine_.adopt_supports(prob.size(), t, supports_scratch_);
 }

@@ -118,7 +118,7 @@ void StreamingSubstrate::multiplier_sweep(const SweepKernel& kernel) {
   const std::uint32_t* retained_of = retained_of_.data();
   const bool poll_chunks = stop_.armed();
   for (std::uint64_t attempt = 0;; ++attempt) {
-    meter_.add_pass();
+    meter_.add_passes();
     const std::uint64_t fail_at = align_fault(
         fault_offset_or_none(FaultSite::kStreamPass, pass, 0, attempt, m));
     try {
@@ -198,8 +198,8 @@ const core::SamplingRound& StreamingSubstrate::draw(
       const core::SamplingRound& draws = engine_.draw_stream_mapped(
           *stream_, retained_of_, order_seed, prob, t, round, seed,
           fail_at == kNoFault && !poll_chunks ? nullptr : &probe);
-      meter_.add_round();
-      meter_.store_edges(draws.stored_total());
+      meter_.add_rounds();
+      meter_.add_stored_edges(draws.stored_total());
       if (table_.empty()) {
         // File mode: snapshot the drawn union's attributes into the
         // per-round cache so the pipeline's stored_attr() reads are RAM
@@ -220,7 +220,7 @@ const core::SamplingRound& StreamingSubstrate::draw(
     } catch (const SubstrateFault&) {
       meter_.add_faults();
       if (attempt + 1 >= retry_.max_attempts) throw;
-      meter_.add_pass();  // the retry physically re-walks the fused pass
+      meter_.add_passes();  // the retry physically re-walks the fused pass
       retry_.backoff(injector_, FaultSite::kStreamPass, pass, 1, attempt);
     }
   }

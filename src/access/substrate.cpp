@@ -20,7 +20,7 @@ void Substrate::attach_source(stream::EdgeSource source) {
 }
 
 void Substrate::charge_resident(std::size_t k, const char* what) {
-  meter_.hold_resident(k);
+  meter_.add_resident_edges(k);
   if (budget_ != 0 && meter_.resident_edges() > budget_) {
     throw ConfigError(
         std::string("memory budget exceeded: ") + what + " brings resident "

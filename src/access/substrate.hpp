@@ -38,7 +38,7 @@
 // Memory budget: set_memory_budget() caps the RESIDENT EDGE-ATTRIBUTE
 // state of the access layer — full per-edge attribute records held in
 // process memory (the materialized attribute table, IO block buffers, the
-// stored-sample attribute cache), metered via hold/release_resident in
+// stored-sample attribute cache), metered via add/release_resident_edges in
 // edge units. Exceeding the cap is a typed ConfigError at the charge
 // point, not a silent RAM spike. The table and its Edge view describe the
 // same records and are charged once per retained edge.
@@ -193,7 +193,9 @@ class Substrate {
   /// Release the round's stored edges at the pipeline's merge point (peak
   /// space is a per-round quantity in the paper's model). The file-backed
   /// backend also drops its stored-attribute cache here.
-  virtual void release_stored(std::size_t k) { meter_.release_edges(k); }
+  virtual void release_stored(std::size_t k) {
+    meter_.release_stored_edges(k);
+  }
 
   /// Install the fault-tolerance plan for subsequent solves. Injection is
   /// a backend concern: the streaming backend wires mid-pass failures, the
@@ -226,7 +228,7 @@ class Substrate {
   /// never a silent RAM spike. Balanced by uncharge_resident.
   void charge_resident(std::size_t k, const char* what);
   void uncharge_resident(std::size_t k) noexcept {
-    meter_.release_resident(k);
+    meter_.release_resident_edges(k);
   }
 
   /// No-fault sentinel of fault_offset_or_none.

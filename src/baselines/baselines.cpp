@@ -24,7 +24,7 @@ void sampled_maximal_matching(const Graph& g, std::vector<EdgeId> candidates,
                               std::size_t budget, std::vector<Vertex>& mate,
                               Matching& m, Rng& rng, ResourceMeter* meter) {
   while (!candidates.empty()) {
-    if (meter != nullptr) meter->add_round();
+    if (meter != nullptr) meter->add_rounds();
     std::vector<EdgeId> sample;
     if (candidates.size() <= budget) {
       sample = candidates;
@@ -35,8 +35,8 @@ void sampled_maximal_matching(const Graph& g, std::vector<EdgeId> candidates,
       for (std::size_t idx : picks) sample.push_back(candidates[idx]);
     }
     if (meter != nullptr) {
-      meter->store_edges(sample.size());
-      meter->release_edges(sample.size());
+      meter->add_stored_edges(sample.size());
+      meter->release_stored_edges(sample.size());
     }
     rng.shuffle(sample);
     extend_maximal_matching(g, sample, mate, m);
@@ -110,7 +110,7 @@ BMatching filtering_b_matching(const Graph& g, const Capacities& b, double p,
   for (auto& [cls, candidates] : classes) {
     std::vector<EdgeId> remaining = candidates;
     while (!remaining.empty()) {
-      if (meter != nullptr) meter->add_round();
+      if (meter != nullptr) meter->add_rounds();
       std::vector<EdgeId> sample;
       if (remaining.size() <= budget) {
         sample = remaining;
@@ -173,8 +173,8 @@ Matching paz_schwartzman_matching(const Graph& g, double eps,
     ++id;
   });
   if (meter != nullptr) {
-    meter->store_edges(stack.size());
-    meter->release_edges(stack.size());
+    meter->add_stored_edges(stack.size());
+    meter->release_stored_edges(stack.size());
   }
   // Unwind: later (heavier residual) edges first.
   std::vector<char> used(g.num_vertices(), 0);
@@ -278,8 +278,8 @@ Matching sample_and_solve(const Graph& g, double p, std::uint64_t seed,
     for (std::size_t idx : picks) sample.push_back(static_cast<EdgeId>(idx));
   }
   if (meter != nullptr) {
-    meter->add_round();
-    meter->store_edges(sample.size());
+    meter->add_rounds();
+    meter->add_stored_edges(sample.size());
   }
   Graph sub(g.num_vertices());
   for (EdgeId e : sample) {

@@ -1,7 +1,10 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <iterator>
+#include <string_view>
 
 #include "util/error.hpp"
 
@@ -74,6 +77,15 @@ class Reader {
     return x;
   }
 
+  /// A u32-length-prefixed byte string, viewed in place.
+  std::string_view str() {
+    const std::uint32_t len = u32();
+    need(len);
+    const std::string_view s(reinterpret_cast<const char*>(data_ + pos_), len);
+    pos_ += len;
+    return s;
+  }
+
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
@@ -104,57 +116,71 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+/// One entry per counter, in table order: its checkpoint key and the
+/// snapshot field it travels in.
+struct CounterField {
+  std::string_view name;
+  std::uint64_t MeterSnapshot::*field;
+};
+
+constexpr CounterField kCounterFields[] = {
+#define DP_SUM(name) {#name, &MeterSnapshot::name},
+#define DP_LEVEL(level, peak) DP_SUM(level) DP_SUM(peak)
+    DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
+};
+constexpr std::size_t kCounterCount = std::size(kCounterFields);
+
+/// Serialized size of one meter's counter block.
+constexpr std::size_t kMeterBlockBytes = [] {
+  std::size_t bytes = 8;
+  for (const CounterField& c : kCounterFields) bytes += 4 + c.name.size() + 8;
+  return bytes;
+}();
+
 void put_meter(std::vector<std::uint8_t>& out, const MeterSnapshot& ms) {
-  put_u64(out, ms.rounds);
-  put_u64(out, ms.passes);
-  put_u64(out, ms.stored_edges);
-  put_u64(out, ms.peak_edges);
-  put_u64(out, ms.sketch_words);
-  put_u64(out, ms.messages);
-  put_u64(out, ms.inner_iterations);
-  put_u64(out, ms.oracle_calls);
-  put_u64(out, ms.faults);
-  put_u64(out, ms.max_flows);
-  put_u64(out, ms.max_flows_saved);
-  put_u64(out, ms.gh_full_builds);
-  put_u64(out, ms.gh_incremental);
-  put_u64(out, ms.gh_tree_reuses);
-  put_u64(out, ms.saved_rounds);
-  put_u64(out, ms.saved_passes);
-  put_u64(out, ms.repaired_rows);
-  put_u64(out, ms.io_bytes);
-  put_u64(out, ms.io_stalls);
-  put_u64(out, ms.prefetch_hits);
-  put_u64(out, ms.shuffle_bytes);
-  put_u64(out, ms.resident_edges);
-  put_u64(out, ms.peak_resident);
+  put_u64(out, kCounterCount);
+  for (const CounterField& c : kCounterFields) {
+    put_u32(out, static_cast<std::uint32_t>(c.name.size()));
+    out.insert(out.end(), c.name.begin(), c.name.end());
+    put_u64(out, ms.*c.field);
+  }
 }
 
 MeterSnapshot get_meter(Reader& in) {
   MeterSnapshot ms;
-  ms.rounds = in.u64();
-  ms.passes = in.u64();
-  ms.stored_edges = in.u64();
-  ms.peak_edges = in.u64();
-  ms.sketch_words = in.u64();
-  ms.messages = in.u64();
-  ms.inner_iterations = in.u64();
-  ms.oracle_calls = in.u64();
-  ms.faults = in.u64();
-  ms.max_flows = in.u64();
-  ms.max_flows_saved = in.u64();
-  ms.gh_full_builds = in.u64();
-  ms.gh_incremental = in.u64();
-  ms.gh_tree_reuses = in.u64();
-  ms.saved_rounds = in.u64();
-  ms.saved_passes = in.u64();
-  ms.repaired_rows = in.u64();
-  ms.io_bytes = in.u64();
-  ms.io_stalls = in.u64();
-  ms.prefetch_hits = in.u64();
-  ms.shuffle_bytes = in.u64();
-  ms.resident_edges = in.u64();
-  ms.peak_resident = in.u64();
+  bool seen[kCounterCount] = {};
+  const std::uint64_t count = in.count(4 + 8);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::string_view name = in.str();
+    const std::uint64_t value = in.u64();
+    const CounterField* c =
+        std::find_if(std::begin(kCounterFields), std::end(kCounterFields),
+                     [name](const CounterField& f) { return f.name == name; });
+    if (c == std::end(kCounterFields)) {
+      throw CheckpointCorrupt("checkpoint meter names an unknown counter");
+    }
+    bool& was_seen = seen[static_cast<std::size_t>(c - kCounterFields)];
+    if (was_seen) {
+      throw CheckpointCorrupt("checkpoint meter repeats a counter");
+    }
+    was_seen = true;
+    ms.*c->field = value;
+  }
+  if (std::find(std::begin(seen), std::end(seen), false) != std::end(seen)) {
+    throw CheckpointCorrupt("checkpoint meter is missing a counter");
+  }
+  // A running level above its peak is no state a meter can reach; a
+  // crafted one must not be restored.
+#define DP_SUM(name)
+#define DP_LEVEL(level, peak)                                                \
+  if (ms.level > ms.peak) {                                                  \
+    throw CheckpointCorrupt("checkpoint meter's " #level " exceeds " #peak); \
+  }
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
   return ms;
 }
 
@@ -162,60 +188,20 @@ MeterSnapshot get_meter(Reader& in) {
 
 MeterSnapshot MeterSnapshot::of(const ResourceMeter& meter) {
   MeterSnapshot ms;
-  ms.rounds = meter.rounds();
-  ms.passes = meter.passes();
-  ms.stored_edges = meter.stored_edges();
-  ms.peak_edges = meter.peak_edges();
-  ms.sketch_words = meter.sketch_words();
-  ms.messages = meter.messages();
-  ms.inner_iterations = meter.inner_iterations();
-  ms.oracle_calls = meter.oracle_calls();
-  ms.faults = meter.faults();
-  ms.max_flows = meter.max_flows();
-  ms.max_flows_saved = meter.max_flows_saved();
-  ms.gh_full_builds = meter.gh_full_builds();
-  ms.gh_incremental = meter.gh_incremental();
-  ms.gh_tree_reuses = meter.gh_tree_reuses();
-  ms.saved_rounds = meter.saved_rounds();
-  ms.saved_passes = meter.saved_passes();
-  ms.repaired_rows = meter.repaired_rows();
-  ms.io_bytes = meter.io_bytes();
-  ms.io_stalls = meter.io_stalls();
-  ms.prefetch_hits = meter.prefetch_hits();
-  ms.shuffle_bytes = meter.shuffle_bytes();
-  ms.resident_edges = meter.resident_edges();
-  ms.peak_resident = meter.peak_resident_edges();
+#define DP_SUM(name) ms.name = meter.name##_;
+#define DP_LEVEL(level, peak) DP_SUM(level) DP_SUM(peak)
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
   return ms;
 }
 
 void MeterSnapshot::restore_into(ResourceMeter& meter) const {
-  meter.reset();
-  meter.add_round(rounds);
-  meter.add_pass(passes);
-  meter.add_sketch_words(sketch_words);
-  meter.add_messages(messages);
-  meter.add_inner_iterations(inner_iterations);
-  meter.add_oracle_calls(oracle_calls);
-  meter.add_faults(faults);
-  meter.add_max_flows(max_flows);
-  meter.add_max_flows_saved(max_flows_saved);
-  meter.add_gh_full_builds(gh_full_builds);
-  meter.add_gh_incremental(gh_incremental);
-  meter.add_gh_tree_reuses(gh_tree_reuses);
-  meter.add_saved_rounds(saved_rounds);
-  meter.add_saved_passes(saved_passes);
-  meter.add_repaired_rows(repaired_rows);
-  meter.add_io_bytes(io_bytes);
-  meter.add_io_stalls(io_stalls);
-  meter.add_prefetch_hits(prefetch_hits);
-  meter.add_shuffle_bytes(shuffle_bytes);
-  // Reconstruct (running stored, peak) exactly: raise to the peak, then
-  // release back down to the running count — same trick for the resident
-  // edge-attribute accounting.
-  meter.store_edges(peak_edges);
-  meter.release_edges(peak_edges - stored_edges);
-  meter.hold_resident(peak_resident);
-  meter.release_resident(peak_resident - resident_edges);
+#define DP_SUM(name) meter.name##_ = name;
+#define DP_LEVEL(level, peak) DP_SUM(level) DP_SUM(peak)
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
 }
 
 std::vector<std::uint8_t> RoundCheckpoint::serialize() const {
@@ -228,10 +214,10 @@ std::vector<std::uint8_t> RoundCheckpoint::serialize() const {
     member_bytes += 4 * var.members.size();
   }
   std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + 68 + 24 + 24 + best_support.size() * 16 + 16 +
+  out.reserve(kHeaderSize + 76 + 24 + 24 + best_support.size() * 16 + 16 +
               xik.size() * 16 + 8 + xi.size() * 8 + 8 +
               odd_sets.size() * 20 + member_bytes + 8 + history.size() * 48 +
-              2 * 112);
+              2 * kMeterBlockBytes);
   for (const std::uint8_t b : kMagic) out.push_back(b);
   put_u32(out, kVersion);
   put_u64(out, 0);  // payload size, patched below

@@ -18,6 +18,11 @@
 // a flipped bit anywhere — header or payload — surfaces as
 // CheckpointCorrupt, never as a half-restored solve. Doubles travel as
 // their IEEE-754 bit patterns (bit_cast), preserving bitwise resume.
+// Each meter travels as a counter block keyed by counter name:
+//   count u64 | count x (name length u32 | name bytes | value u64)
+// in any order. Decode requires every name of DP_RESOURCE_COUNTERS exactly
+// once — an unknown, duplicated or missing name is CheckpointCorrupt — and
+// every running level at most its peak.
 // Version bumps are strict: kVersion is the only version deserialize
 // accepts (the format is a crash-recovery artifact, not an archive).
 
@@ -31,50 +36,38 @@
 
 namespace dp::core {
 
-/// Value snapshot of a ResourceMeter (the meter itself exposes no mutable
-/// counter access; restore replays the counters through the public API).
+/// Value snapshot of a ResourceMeter: one std::uint64_t member per row of
+/// DP_RESOURCE_COUNTERS, named after the counter (trivially copyable, no
+/// padding). of() and restore_into() copy every field directly.
 struct MeterSnapshot {
-  std::uint64_t rounds = 0;
-  std::uint64_t passes = 0;
-  std::uint64_t stored_edges = 0;
-  std::uint64_t peak_edges = 0;
-  std::uint64_t sketch_words = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t inner_iterations = 0;
-  std::uint64_t oracle_calls = 0;
-  std::uint64_t faults = 0;
-  std::uint64_t max_flows = 0;
-  std::uint64_t max_flows_saved = 0;
-  std::uint64_t gh_full_builds = 0;
-  std::uint64_t gh_incremental = 0;
-  std::uint64_t gh_tree_reuses = 0;
-  std::uint64_t saved_rounds = 0;
-  std::uint64_t saved_passes = 0;
-  std::uint64_t repaired_rows = 0;
-  std::uint64_t io_bytes = 0;
-  std::uint64_t io_stalls = 0;
-  std::uint64_t prefetch_hits = 0;
-  std::uint64_t shuffle_bytes = 0;
-  std::uint64_t resident_edges = 0;
-  std::uint64_t peak_resident = 0;
+#define DP_SUM(name) std::uint64_t name = 0;
+#define DP_LEVEL(level, peak) DP_SUM(level) DP_SUM(peak)
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
 
   static MeterSnapshot of(const ResourceMeter& meter);
   void restore_into(ResourceMeter& meter) const;
+
+  bool operator==(const MeterSnapshot&) const = default;
 };
 
 struct RoundCheckpoint {
-  // v2: MeterSnapshot grew the separation flow-work counters (max_flows,
-  // max_flows_saved, gh_full_builds, gh_incremental, gh_tree_reuses).
+  // v2: MeterSnapshot grew the separation flow-work counters (max-flows
+  // run and saved, Gomory-Hu full/incremental/reused tree builds).
   // v3: identity grew graph_generation — the dynamic-graph delta counter.
   // A checkpoint cut before a delta must not silently resume against the
   // mutated graph: n/m/retained can all survive a remove+insert delta, so
   // the generation is the field that makes staleness a typed rejection.
-  // v4: MeterSnapshot grew the dynamic-resolve savings (saved_rounds,
-  // saved_passes, repaired_rows) and the out-of-core counters (io_bytes,
-  // io_stalls, prefetch_hits, shuffle_bytes, resident_edges,
-  // peak_resident) — a mid-pass kill/resume on the file backend must
-  // restore its IO accounting exactly.
-  static constexpr std::uint32_t kVersion = 4;
+  // v4: MeterSnapshot grew the dynamic-resolve savings and the
+  // out-of-core counters (IO bytes, stalls, prefetch hits, shuffle bytes,
+  // resident edges and their peak) — a mid-pass kill/resume on the file
+  // backend must restore its IO accounting exactly.
+  // v5: each meter is a counter block keyed by counter name, generated
+  // from DP_RESOURCE_COUNTERS, so adding a counter no longer changes the
+  // version. Decode rejects unknown, duplicated and missing names and a
+  // running level above its peak.
+  static constexpr std::uint32_t kVersion = 5;
 
   // -- Identity: the solve configuration this checkpoint belongs to. --
   std::uint64_t solver_seed = 0;
@@ -113,7 +106,8 @@ struct RoundCheckpoint {
 
   /// Parses and validates a serialized checkpoint. Throws CheckpointCorrupt
   /// on any structural defect: short buffer, wrong magic/version, size or
-  /// checksum mismatch, truncated or oversized payload.
+  /// checksum mismatch, truncated or oversized payload, malformed counter
+  /// block, or a meter whose running level exceeds its peak.
   static RoundCheckpoint deserialize(const std::vector<std::uint8_t>& bytes);
 };
 

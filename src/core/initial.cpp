@@ -79,9 +79,9 @@ InitialSolution build_initial(const LevelGraph& lg, const Capacities& b,
     if (work_left) {
       ++out.rounds;
       if (meter != nullptr) {
-        meter->add_round();
-        meter->store_edges(stored_this_round);
-        meter->release_edges(stored_this_round);
+        meter->add_rounds();
+        meter->add_stored_edges(stored_this_round);
+        meter->release_stored_edges(stored_this_round);
       }
     }
   }
@@ -91,7 +91,7 @@ InitialSolution build_initial(const LevelGraph& lg, const Capacities& b,
   // in one extra round so the dual coverage guarantee always holds.
   if (work_left) {
     ++out.rounds;
-    if (meter != nullptr) meter->add_round();
+    if (meter != nullptr) meter->add_rounds();
     for (int k = 0; k < L; ++k) {
       auto& res = residual[k];
       for (EdgeId e : remaining[k]) {

@@ -66,9 +66,9 @@ const SamplingRound& SamplingEngine::draw(const std::vector<double>& prob,
              });
   extract_union();
   if (meter != nullptr) {
-    meter->add_round();
-    meter->add_pass();
-    meter->store_edges(round_.stored_total());
+    meter->add_rounds();
+    meter->add_passes();
+    meter->add_stored_edges(round_.stored_total());
   }
   return round_;
 }
@@ -93,8 +93,8 @@ const SamplingRound& SamplingEngine::draw_stream(
   });
   extract_union();
   if (stream.meter() != nullptr) {
-    stream.meter()->add_round();
-    stream.meter()->store_edges(round_.stored_total());
+    stream.meter()->add_rounds();
+    stream.meter()->add_stored_edges(round_.stored_total());
   }
   return round_;
 }

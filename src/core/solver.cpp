@@ -158,9 +158,10 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   // certificate (objective/lambda) is sound regardless of sparsifier
   // quality, so a coarse-but-cheap sparsifier only slows convergence.
   // gamma enters deferred_probabilities squared; passing sqrt(gamma)
-  // yields linear-in-gamma oversampling — the measured multiplier drift
-  // per round sits far below the worst-case gamma^2 (documented deviation
-  // in EXPERIMENTS.md).
+  // yields linear-in-gamma oversampling — a deliberate deviation, since
+  // the measured multiplier drift per round sits far below the worst-case
+  // gamma^2. Like sampling_constant=0.25, it trades sparsifier accuracy
+  // for cost; the certificate stays sound either way.
   popt.deferred.xi = 0.5;
   popt.deferred.gamma = std::sqrt(std::max(1.0, gamma));
   popt.deferred.sampling_constant = 0.25;
@@ -237,11 +238,11 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     std::vector<Edge> retained_edges;
     retained_edges.reserve(retained.size());
     for (EdgeId e : retained) retained_edges.push_back(g.edge(e));
-    result.meter.add_pass();
-    result.meter.store_edges(retained_edges.size());
+    result.meter.add_passes();
+    result.meter.add_stored_edges(retained_edges.size());
     pipeline.merge_offline(pipeline.solve_offline(retained, retained_edges),
                            inc);
-    result.meter.release_edges(retained_edges.size());
+    result.meter.release_stored_edges(retained_edges.size());
     result.warm_resolve = true;
   } else if (resume == nullptr) {
     // ---- Initial dual solution (Lemma 12) and best primal so far:

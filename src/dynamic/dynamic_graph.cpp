@@ -38,7 +38,7 @@ DynamicGraph::DynamicGraph(Graph base, DynamicGraphOptions opt)
     }
   }
   base_ = std::make_shared<const Graph>(std::move(base));
-  meter_.store_edges(live_.size());
+  meter_.add_stored_edges(live_.size());
   if (opt.backing == DynamicBacking::kSketch) {
     sketch_rng_ = std::make_unique<Rng>(opt.sketch_seed);
     seed_ = std::make_unique<L0SamplerSeed>(opt.sketch_levels,
@@ -154,8 +154,8 @@ DeltaSummary DynamicGraph::apply(const EdgeDelta& delta) {
 
   s.inserted = entry.inserted.size();
   s.removed = entry.removed.size();
-  meter_.store_edges(s.inserted);
-  meter_.release_edges(s.removed);
+  meter_.add_stored_edges(s.inserted);
+  meter_.release_stored_edges(s.removed);
   ++generation_;
   s.generation = generation_;
   log_.push_back(std::move(entry));

@@ -39,7 +39,7 @@ std::vector<KeyValue> Simulator::round(
                              std::vector<KeyValue>&)>& reducer) {
   ++rounds_;
   if (meter_ != nullptr) {
-    meter_->add_round();
+    meter_->add_rounds();
   }
 
   // ---- Map phase: shard input contiguously, run mappers in parallel. ----
@@ -241,8 +241,8 @@ std::vector<std::vector<std::uint32_t>> sample_round(
   // grouped values already ascend; the sort is a cheap guarantee.
   for (auto& s : supports) std::sort(s.begin(), s.end());
   if (meter != nullptr) {
-    meter->add_pass();
-    meter->store_edges(stored_total);
+    meter->add_passes();
+    meter->add_stored_edges(stored_total);
   }
   return supports;
 }

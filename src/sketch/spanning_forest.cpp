@@ -39,8 +39,8 @@ SketchForestResult sketch_spanning_forest(const Graph& g, std::uint64_t seed,
     copies.push_back(std::make_unique<AgmSketch>(g, seeds[r], meter));
   }
   if (meter != nullptr) {
-    meter->add_round(1);  // all sketches in one sampling round
-    meter->add_pass(1);
+    meter->add_rounds(1);  // all sketches in one sampling round
+    meter->add_passes(1);
   }
 
   // Deferred use: Boruvka merging with a fresh sketch copy per round.

@@ -52,7 +52,7 @@ std::vector<SparsifiedEdge> cut_sparsify(std::size_t n,
             [](const SparsifiedEdge& a, const SparsifiedEdge& b) {
               return a.index < b.index;
             });
-  if (meter != nullptr) meter->store_edges(kept.size());
+  if (meter != nullptr) meter->add_stored_edges(kept.size());
   return kept;
 }
 

@@ -127,8 +127,8 @@ DeferredSparsifier::DeferredSparsifier(std::size_t n,
     }
   }
   if (meter != nullptr) {
-    meter->add_round();
-    meter->store_edges(stored_.size());
+    meter->add_rounds();
+    meter->add_stored_edges(stored_.size());
   }
 }
 

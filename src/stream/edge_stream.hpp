@@ -70,7 +70,7 @@ class EdgeStream {
   /// counter. The callable is a template parameter (devirtualized).
   template <typename Fn>
   void for_each_pass(Fn&& fn) const {
-    if (meter_ != nullptr) meter_->add_pass();
+    if (meter_ != nullptr) meter_->add_passes();
     if (file_ != nullptr) {
       file_->for_each([&fn](EdgeId, const Edge& e) { fn(e); });
       return;
@@ -85,7 +85,7 @@ class EdgeStream {
   /// substrates use this to map arrivals onto their retained-index space.
   template <typename Fn>
   void for_each_pass_indexed(Fn&& fn) const {
-    if (meter_ != nullptr) meter_->add_pass();
+    if (meter_ != nullptr) meter_->add_passes();
     if (file_ != nullptr) {
       file_->for_each(fn);
       return;
@@ -115,7 +115,7 @@ class EdgeStream {
   /// Shuffled pass that also yields each edge's id: fn(id, edge).
   template <typename Fn>
   void for_each_pass_shuffled_indexed(std::uint64_t seed, Fn&& fn) const {
-    if (meter_ != nullptr) meter_->add_pass();
+    if (meter_ != nullptr) meter_->add_passes();
     if (file_ != nullptr) {
       const std::vector<EdgeId>& blocks = order_for(seed);
       file_->scan_blocks(

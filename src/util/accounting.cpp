@@ -1,54 +1,28 @@
 #include "util/accounting.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace dp {
 
 void ResourceMeter::merge(const ResourceMeter& other) noexcept {
-  rounds_ += other.rounds_;
-  passes_ += other.passes_;
-  stored_edges_ += other.stored_edges_;
-  if (other.peak_edges_ > peak_edges_) peak_edges_ = other.peak_edges_;
-  if (stored_edges_ > peak_edges_) peak_edges_ = stored_edges_;
-  sketch_words_ += other.sketch_words_;
-  messages_ += other.messages_;
-  inner_iterations_ += other.inner_iterations_;
-  oracle_calls_ += other.oracle_calls_;
-  faults_ += other.faults_;
-  max_flows_ += other.max_flows_;
-  max_flows_saved_ += other.max_flows_saved_;
-  gh_full_builds_ += other.gh_full_builds_;
-  gh_incremental_ += other.gh_incremental_;
-  gh_tree_reuses_ += other.gh_tree_reuses_;
-  saved_rounds_ += other.saved_rounds_;
-  saved_passes_ += other.saved_passes_;
-  repaired_rows_ += other.repaired_rows_;
-  io_bytes_ += other.io_bytes_;
-  io_stalls_ += other.io_stalls_;
-  prefetch_hits_ += other.prefetch_hits_;
-  shuffle_bytes_ += other.shuffle_bytes_;
-  resident_edges_ += other.resident_edges_;
-  if (other.peak_resident_ > peak_resident_) {
-    peak_resident_ = other.peak_resident_;
-  }
-  if (resident_edges_ > peak_resident_) peak_resident_ = resident_edges_;
+#define DP_SUM(name) name##_ += other.name##_;
+#define DP_LEVEL(level, peak) \
+  DP_SUM(level)               \
+  peak##_ = std::max({peak##_, other.peak##_, level##_});
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
 }
 
 std::string ResourceMeter::summary() const {
   std::ostringstream os;
-  os << "rounds=" << rounds_ << " passes=" << passes_
-     << " peak_edges=" << peak_edges_ << " sketch_words=" << sketch_words_
-     << " messages=" << messages_ << " inner_iters=" << inner_iterations_
-     << " oracle_calls=" << oracle_calls_ << " faults=" << faults_
-     << " max_flows=" << max_flows_ << " flows_saved=" << max_flows_saved_
-     << " gh_builds=" << gh_full_builds_ << "/" << gh_incremental_ << "/"
-     << gh_tree_reuses_ << " saved_rounds=" << saved_rounds_
-     << " saved_passes=" << saved_passes_
-     << " repaired_rows=" << repaired_rows_ << " io_bytes=" << io_bytes_
-     << " io_stalls=" << io_stalls_ << " prefetch_hits=" << prefetch_hits_
-     << " shuffle_bytes=" << shuffle_bytes_
-     << " peak_resident=" << peak_resident_;
-  return os.str();
+#define DP_SUM(name) os << " " #name "=" << name##_;
+#define DP_LEVEL(level, peak) DP_SUM(level) DP_SUM(peak)
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
+  return os.str().substr(1);
 }
 
 }  // namespace dp

@@ -6,12 +6,83 @@
 // per-vertex messages — rather than wall-clock time. The substrates in this
 // library meter those quantities through a shared ResourceMeter so that
 // benchmarks report exactly what Theorem 1 / Theorem 15 bound.
+//
+// Every counter is defined once, as a row of DP_RESOURCE_COUNTERS below.
+// The meter's fields, accessors, adders, merge() and summary(), the
+// checkpoint's core::MeterSnapshot and its name-keyed counter block are all
+// generated from that table: to add a counter, add one table row.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
+// The counter table. Each row is one of two kinds:
+//   SUM(name)          a count that only grows; merge() adds the two
+//                      meters' values. Adder: add_<name>(k = 1).
+//   LEVEL(name, peak)  a running level raised by add_<name>(k) and
+//                      lowered by release_<name>(k) (clamped at 0), plus
+//                      `peak`, the level's high-water mark. merge() adds
+//                      the levels and takes the peak as max(own peak,
+//                      other's peak, combined level).
+// Each name is also the read accessor, the MeterSnapshot member and the
+// checkpoint key; row order is summary() and wire order only.
+#define DP_RESOURCE_COUNTERS(SUM, LEVEL)                                      \
+  /* One adaptive sampling round (MapReduce round / sketch epoch). */         \
+  SUM(rounds)                                                                 \
+  /* One sequential pass over the input stream. */                            \
+  SUM(passes)                                                                 \
+  /* Edges held in central memory; the peak is the "space" of Theorem 15. */  \
+  LEVEL(stored_edges, peak_edges)                                             \
+  /* Sketch words communicated (congested clique accounting). */              \
+  SUM(sketch_words)                                                           \
+  /* Generic message count (MapReduce shuffle volume in records). */          \
+  SUM(messages)                                                               \
+  /* Inner (non-adaptive) iterations executed on stored data. The paper's     \
+     key distinction: these do NOT touch the input. */                        \
+  SUM(inner_iterations)                                                       \
+  /* Oracle invocations (MicroOracle calls in Theorem 1). */                  \
+  SUM(oracle_calls)                                                           \
+  /* Injected (or real) substrate faults survived via retry. Each retry's     \
+     cost lands on the other counters (an extra pass, re-shuffled             \
+     messages), so this is the denominator of per-fault recovery cost. */     \
+  SUM(faults)                                                                 \
+  /* Max-flow computations run by odd-set separation (Gusfield, Lemma 25),    \
+     and flows the incremental per-subtree Gomory-Hu reuse skipped after      \
+     contraction. */                                                          \
+  SUM(max_flows)                                                              \
+  SUM(max_flows_saved)                                                        \
+  /* Gomory-Hu tree (re)build outcomes: full Gusfield rebuilds, incremental   \
+     post-contraction updates, whole-tree cache hits. */                      \
+  SUM(gh_full_builds)                                                         \
+  SUM(gh_incremental)                                                         \
+  SUM(gh_tree_reuses)                                                         \
+  /* Dynamic re-solve: MW rounds and substrate passes the warm-started path   \
+     did NOT pay relative to the previous solve, and covering rows raised by  \
+     the feasibility-repair pass. */                                          \
+  SUM(saved_rounds)                                                           \
+  SUM(saved_passes)                                                           \
+  SUM(repaired_rows)                                                          \
+  /* Out-of-core IO (stream/edge_file): bytes read from the edge file, pass   \
+     iterations that had to WAIT for a block, and block requests the async    \
+     prefetcher had already completed. hits / (hits + waits) is the          \
+     double-buffering pipeline's health signal. */                            \
+  SUM(io_bytes)                                                               \
+  SUM(io_stalls)                                                              \
+  SUM(prefetch_hits)                                                          \
+  /* MapReduce shuffle volume in BYTES (each shuffled record is a             \
+     fixed-width key/value pair). */                                          \
+  SUM(shuffle_bytes)                                                          \
+  /* Resident edge-attribute records of the access layer (attribute table,    \
+     IO block buffers, stored-sample caches), in edge units. Distinct from    \
+     the model's stored-sample space: this is what                            \
+     SolverOptions::memory_budget_edges caps. */                              \
+  LEVEL(resident_edges, peak_resident_edges)
+
 namespace dp {
+
+namespace core {
+struct MeterSnapshot;
+}
 
 /// Counters for the resource-constrained models of Section 1 of the paper.
 /// All counters are plain (non-atomic). Concurrent phases never share one
@@ -19,155 +90,46 @@ namespace dp {
 /// aggregates them with merge() at a stage boundary, in a fixed stage
 /// order (the round pipeline's Merge stage is the canonical example) — so
 /// the totals are identical whatever thread interleaving produced them.
-/// merge() adds every running counter and combines peaks as
-/// max(own peak, other's peak, combined running stored). Note this treats
-/// the two meters' transient peaks as NON-concurrent: stages that
-/// genuinely hold storage at the same time must charge the held storage
-/// to one meter (as the pipeline does — the round's stored edges live on
-/// the Draw stage's meter until the post-merge release).
+/// merge() treats the two meters' transient peaks as NON-concurrent:
+/// stages that genuinely hold storage at the same time must charge the
+/// held storage to one meter (as the pipeline does — the round's stored
+/// edges live on the Draw stage's meter until the post-merge release).
 class ResourceMeter {
  public:
-  /// One adaptive sampling round (MapReduce round / sketch epoch).
-  void add_round(std::size_t k = 1) noexcept { rounds_ += k; }
-
-  /// One sequential pass over the input stream.
-  void add_pass(std::size_t k = 1) noexcept { passes_ += k; }
-
-  /// Edges currently held in central memory. Tracks a running total and the
-  /// peak, which is the "space" of Theorem 15.
-  void store_edges(std::size_t k) noexcept {
-    stored_edges_ += k;
-    if (stored_edges_ > peak_edges_) peak_edges_ = stored_edges_;
-  }
-  void release_edges(std::size_t k) noexcept {
-    stored_edges_ = k > stored_edges_ ? 0 : stored_edges_ - k;
-  }
-
-  /// Sketch words communicated (congested clique accounting).
-  void add_sketch_words(std::size_t k) noexcept { sketch_words_ += k; }
-
-  /// Generic message count (MapReduce shuffle volume).
-  void add_messages(std::size_t k) noexcept { messages_ += k; }
-
-  /// Inner (non-adaptive) iterations executed on stored data. The paper's
-  /// key distinction: these do NOT touch the input.
-  void add_inner_iterations(std::size_t k = 1) noexcept {
-    inner_iterations_ += k;
-  }
-
-  /// Oracle invocations (MicroOracle calls in Theorem 1).
-  void add_oracle_calls(std::size_t k = 1) noexcept { oracle_calls_ += k; }
-
-  /// Injected (or real) substrate faults survived via retry. The cost of
-  /// each retry lands on the counters above — an extra pass, re-shuffled
-  /// messages — so faults() is the denominator of per-fault recovery cost.
-  void add_faults(std::size_t k = 1) noexcept { faults_ += k; }
-
-  /// Max-flow computations run by odd-set separation (Gusfield, Lemma 25),
-  /// and flows skipped by the incremental per-subtree Gomory-Hu reuse
-  /// after contraction — the hot-path saving made observable.
-  void add_max_flows(std::size_t k) noexcept { max_flows_ += k; }
-  void add_max_flows_saved(std::size_t k) noexcept { max_flows_saved_ += k; }
-
-  /// Gomory-Hu tree (re)build outcomes: full Gusfield rebuilds,
-  /// incremental post-contraction updates, whole-tree cache hits.
-  void add_gh_full_builds(std::size_t k) noexcept { gh_full_builds_ += k; }
-  void add_gh_incremental(std::size_t k) noexcept { gh_incremental_ += k; }
-  void add_gh_tree_reuses(std::size_t k) noexcept { gh_tree_reuses_ += k; }
-
-  /// Dynamic re-solve accounting: MW rounds and substrate passes the
-  /// warm-started path did NOT pay relative to the previous solve's cost,
-  /// plus covering rows raised by the feasibility-repair pass — the
-  /// o(full-solve) claim made observable as first-class counters.
-  void add_saved_rounds(std::size_t k) noexcept { saved_rounds_ += k; }
-  void add_saved_passes(std::size_t k) noexcept { saved_passes_ += k; }
-  void add_repaired_rows(std::size_t k) noexcept { repaired_rows_ += k; }
-
-  /// Out-of-core IO accounting (stream/edge_file): bytes physically read
-  /// from the edge file, pass iterations that had to WAIT for a block
-  /// (stalls), and block requests the async prefetcher had already
-  /// completed (hits). hit_rate = prefetch_hits / (prefetch_hits +
-  /// io_stalls) is the double-buffering pipeline's health signal.
-  void add_io_bytes(std::size_t k) noexcept { io_bytes_ += k; }
-  void add_io_stalls(std::size_t k = 1) noexcept { io_stalls_ += k; }
-  void add_prefetch_hits(std::size_t k = 1) noexcept { prefetch_hits_ += k; }
-
-  /// MapReduce shuffle volume in BYTES (messages counts records; each
-  /// shuffled record is a fixed-width key/value pair, so the simulator
-  /// charges bytes alongside).
-  void add_shuffle_bytes(std::size_t k) noexcept { shuffle_bytes_ += k; }
-
-  /// Resident edge-attribute state of the access layer: full per-edge
-  /// attribute records (attribute table, IO block buffers, stored-sample
-  /// attribute caches) a substrate holds in process memory, in edge units.
-  /// Distinct from store_edges (the MODEL's stored-sample space): resident
-  /// is what SolverOptions::memory_budget_edges caps — the out-of-core
-  /// backends keep it o(m) while the in-memory reference pins the whole
-  /// attribute table.
-  void hold_resident(std::size_t k) noexcept {
-    resident_edges_ += k;
-    if (resident_edges_ > peak_resident_) peak_resident_ = resident_edges_;
-  }
-  void release_resident(std::size_t k) noexcept {
-    resident_edges_ = k > resident_edges_ ? 0 : resident_edges_ - k;
-  }
-
-  std::size_t rounds() const noexcept { return rounds_; }
-  std::size_t passes() const noexcept { return passes_; }
-  std::size_t stored_edges() const noexcept { return stored_edges_; }
-  std::size_t peak_edges() const noexcept { return peak_edges_; }
-  std::size_t sketch_words() const noexcept { return sketch_words_; }
-  std::size_t messages() const noexcept { return messages_; }
-  std::size_t inner_iterations() const noexcept { return inner_iterations_; }
-  std::size_t oracle_calls() const noexcept { return oracle_calls_; }
-  std::size_t faults() const noexcept { return faults_; }
-  std::size_t max_flows() const noexcept { return max_flows_; }
-  std::size_t max_flows_saved() const noexcept { return max_flows_saved_; }
-  std::size_t gh_full_builds() const noexcept { return gh_full_builds_; }
-  std::size_t gh_incremental() const noexcept { return gh_incremental_; }
-  std::size_t gh_tree_reuses() const noexcept { return gh_tree_reuses_; }
-  std::size_t saved_rounds() const noexcept { return saved_rounds_; }
-  std::size_t saved_passes() const noexcept { return saved_passes_; }
-  std::size_t repaired_rows() const noexcept { return repaired_rows_; }
-  std::size_t io_bytes() const noexcept { return io_bytes_; }
-  std::size_t io_stalls() const noexcept { return io_stalls_; }
-  std::size_t prefetch_hits() const noexcept { return prefetch_hits_; }
-  std::size_t shuffle_bytes() const noexcept { return shuffle_bytes_; }
-  std::size_t resident_edges() const noexcept { return resident_edges_; }
-  std::size_t peak_resident_edges() const noexcept { return peak_resident_; }
+#define DP_SUM(name)                                            \
+  void add_##name(std::size_t k = 1) noexcept { name##_ += k; } \
+  std::size_t name() const noexcept { return name##_; }
+#define DP_LEVEL(level, peak)                                  \
+  void add_##level(std::size_t k) noexcept {                   \
+    level##_ += k;                                             \
+    if (level##_ > peak##_) peak##_ = level##_;                \
+  }                                                            \
+  void release_##level(std::size_t k) noexcept {               \
+    level##_ = k > level##_ ? 0 : level##_ - k;                \
+  }                                                            \
+  std::size_t level() const noexcept { return level##_; }      \
+  std::size_t peak() const noexcept { return peak##_; }
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
 
   void reset() noexcept { *this = ResourceMeter{}; }
 
-  /// Merge counters from another meter (peak = max of peaks).
+  /// Merge counters from another meter (see the table's kinds).
   void merge(const ResourceMeter& other) noexcept;
 
-  /// Human-readable one-line summary.
+  /// Human-readable one-line summary: `name=value` for every counter.
   std::string summary() const;
 
  private:
-  std::size_t rounds_ = 0;
-  std::size_t passes_ = 0;
-  std::size_t stored_edges_ = 0;
-  std::size_t peak_edges_ = 0;
-  std::size_t sketch_words_ = 0;
-  std::size_t messages_ = 0;
-  std::size_t inner_iterations_ = 0;
-  std::size_t oracle_calls_ = 0;
-  std::size_t faults_ = 0;
-  std::size_t max_flows_ = 0;
-  std::size_t max_flows_saved_ = 0;
-  std::size_t gh_full_builds_ = 0;
-  std::size_t gh_incremental_ = 0;
-  std::size_t gh_tree_reuses_ = 0;
-  std::size_t saved_rounds_ = 0;
-  std::size_t saved_passes_ = 0;
-  std::size_t repaired_rows_ = 0;
-  std::size_t io_bytes_ = 0;
-  std::size_t io_stalls_ = 0;
-  std::size_t prefetch_hits_ = 0;
-  std::size_t shuffle_bytes_ = 0;
-  std::size_t resident_edges_ = 0;
-  std::size_t peak_resident_ = 0;
+  // Snapshot/restore copies the fields directly (checkpoint resume).
+  friend struct core::MeterSnapshot;
+
+#define DP_SUM(name) std::size_t name##_ = 0;
+#define DP_LEVEL(level, peak) DP_SUM(level) DP_SUM(peak)
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
 };
 
 }  // namespace dp

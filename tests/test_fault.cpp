@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "access/in_memory.hpp"
@@ -437,6 +439,193 @@ TEST(Checkpoint, EveryFlippedByteIsRejected) {
     EXPECT_THROW(RoundCheckpoint::deserialize(prefix), CheckpointCorrupt)
         << "length " << len;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Meter counter blocks. Everything below iterates DP_RESOURCE_COUNTERS, so a
+// new table row is covered without touching these tests.
+
+/// Every counter set to a distinct value, each running level below its
+/// peak.
+MeterSnapshot distinct_meter(std::uint64_t base) {
+  MeterSnapshot ms;
+  std::uint64_t v = base;
+#define DP_SUM(name) ms.name = ++v;
+#define DP_LEVEL(level, peak) \
+  ms.level = ++v;             \
+  ms.peak = v + 1000;
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
+  return ms;
+}
+
+TEST(Checkpoint, EveryCounterRoundTrips) {
+  RoundCheckpoint ck = sample_checkpoint();
+  ck.solve_meter = distinct_meter(100);
+  ck.substrate_meter = distinct_meter(200);
+  const RoundCheckpoint back = RoundCheckpoint::deserialize(ck.serialize());
+  for (const auto& [got, want] :
+       {std::pair{back.solve_meter, ck.solve_meter},
+        std::pair{back.substrate_meter, ck.substrate_meter}}) {
+#define DP_SUM(name) EXPECT_EQ(got.name, want.name) << #name;
+#define DP_LEVEL(level, peak) DP_SUM(level) DP_SUM(peak)
+    DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
+  }
+
+  // restore_into overwrites (it does not add to) a used meter, every
+  // accessor reads the restored value, and of() gives the snapshot back.
+  ResourceMeter meter;
+  meter.add_passes(7);
+  meter.add_stored_edges(3);
+  back.substrate_meter.restore_into(meter);
+#define DP_SUM(name) EXPECT_EQ(meter.name(), ck.substrate_meter.name) << #name;
+#define DP_LEVEL(level, peak) DP_SUM(level) DP_SUM(peak)
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
+  EXPECT_EQ(MeterSnapshot::of(meter), back.substrate_meter);
+}
+
+using CounterEntries = std::vector<std::pair<std::string, std::uint64_t>>;
+
+CounterEntries entries_of(const MeterSnapshot& ms) {
+  CounterEntries out;
+#define DP_SUM(name) out.emplace_back(#name, ms.name);
+#define DP_LEVEL(level, peak) DP_SUM(level) DP_SUM(peak)
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
+  return out;
+}
+
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t x, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+  }
+}
+
+/// The v5 counter-block encoding, written independently of the library:
+/// count u64, then (name length u32, name bytes, value u64) per entry.
+std::vector<std::uint8_t> encode_block(const CounterEntries& entries) {
+  std::vector<std::uint8_t> out;
+  put_le(out, entries.size(), 8);
+  for (const auto& [name, value] : entries) {
+    put_le(out, name.size(), 4);
+    out.insert(out.end(), name.begin(), name.end());
+    put_le(out, value, 8);
+  }
+  return out;
+}
+
+/// Serializes `ck` with its trailing substrate-meter block replaced by
+/// `block`, then re-seals the header (payload size and FNV-1a-64 checksum)
+/// so that only the block's structure is under test.
+std::vector<std::uint8_t> with_substrate_block(
+    const RoundCheckpoint& ck, const std::vector<std::uint8_t>& block) {
+  constexpr std::size_t kHeader = 24;
+  std::vector<std::uint8_t> bytes = ck.serialize();
+  const std::vector<std::uint8_t> own =
+      encode_block(entries_of(ck.substrate_meter));
+  EXPECT_TRUE(std::equal(own.rbegin(), own.rend(), bytes.rbegin()))
+      << "the serialized checkpoint does not end in its substrate block";
+  bytes.resize(bytes.size() - own.size());
+  bytes.insert(bytes.end(), block.begin(), block.end());
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = kHeader; i < bytes.size(); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ULL;
+  }
+  std::vector<std::uint8_t> seal;
+  put_le(seal, bytes.size() - kHeader, 8);
+  put_le(seal, h, 8);
+  std::copy(seal.begin(), seal.end(), bytes.begin() + 8);
+  return bytes;
+}
+
+TEST(Checkpoint, CounterBlockIsNameKeyedAndStrict) {
+  RoundCheckpoint ck = sample_checkpoint();
+  ck.substrate_meter = distinct_meter(300);
+  const CounterEntries entries = entries_of(ck.substrate_meter);
+
+  // Decode does not depend on order.
+  const CounterEntries reversed(entries.rbegin(), entries.rend());
+  EXPECT_EQ(RoundCheckpoint::deserialize(
+                with_substrate_block(ck, encode_block(reversed)))
+                .substrate_meter,
+            ck.substrate_meter);
+
+  const auto rejects = [&ck](const std::vector<std::uint8_t>& block,
+                             const char* label) {
+    EXPECT_THROW(RoundCheckpoint::deserialize(with_substrate_block(ck, block)),
+                 CheckpointCorrupt)
+        << label;
+  };
+  CounterEntries unknown = entries;
+  unknown.emplace_back("no_such_counter", 0);
+  rejects(encode_block(unknown), "unknown name");
+
+  CounterEntries duplicated = entries;
+  duplicated.push_back(entries.front());
+  rejects(encode_block(duplicated), "duplicated name");
+
+  CounterEntries renamed_twice = entries;
+  renamed_twice.back().first = entries.front().first;
+  rejects(encode_block(renamed_twice), "duplicated name, same count");
+
+  CounterEntries missing = entries;
+  missing.erase(missing.begin());
+  rejects(encode_block(missing), "missing name");
+
+  // The count promises one more entry, but only half of its name length
+  // is left in the payload.
+  CounterEntries more = entries;
+  more.emplace_back("extra", 0);
+  std::vector<std::uint8_t> truncated = encode_block(more);
+  truncated.resize(encode_block(entries).size() + 2);
+  rejects(truncated, "truncated name length");
+
+  // A name length that runs past the end of the payload.
+  std::vector<std::uint8_t> overlong = encode_block(missing);
+  overlong[0] = static_cast<std::uint8_t>(entries.size());
+  put_le(overlong, 1000, 4);
+  rejects(overlong, "name length past the end");
+
+  std::vector<std::uint8_t> trailing = encode_block(entries);
+  trailing.push_back(0);
+  rejects(trailing, "trailing bytes");
+}
+
+TEST(Checkpoint, RunningLevelAbovePeakIsRejected) {
+  // No meter reaches running > peak, but a crafted checkpoint carrying one
+  // passes the checksum and the solver's resume checks, so decode itself
+  // must refuse it.
+  RoundCheckpoint ck = sample_checkpoint();
+  ck.substrate_meter = distinct_meter(400);
+  std::vector<std::pair<const char*, MeterSnapshot>> crafted;
+#define DP_SUM(name)
+#define DP_LEVEL(level, peak)                       \
+  crafted.emplace_back(#level, ck.substrate_meter); \
+  crafted.back().second.level = ck.substrate_meter.peak + 1;
+  DP_RESOURCE_COUNTERS(DP_SUM, DP_LEVEL)
+#undef DP_SUM
+#undef DP_LEVEL
+  ASSERT_FALSE(crafted.empty());
+  for (const auto& [level, bad] : crafted) {
+    EXPECT_THROW(RoundCheckpoint::deserialize(with_substrate_block(
+                     ck, encode_block(entries_of(bad)))),
+                 CheckpointCorrupt)
+        << level;
+  }
+  // Equal is a reachable state (everything still held) and decodes.
+  MeterSnapshot full = ck.substrate_meter;
+  full.stored_edges = full.peak_edges;
+  EXPECT_EQ(RoundCheckpoint::deserialize(
+                with_substrate_block(ck, encode_block(entries_of(full))))
+                .substrate_meter,
+            full);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -141,12 +142,12 @@ TEST(EdgeKey, Symmetric) {
 
 TEST(ResourceMeter, CountsAndPeak) {
   ResourceMeter m;
-  m.add_round();
-  m.add_round(2);
-  m.add_pass();
-  m.store_edges(100);
-  m.release_edges(40);
-  m.store_edges(10);
+  m.add_rounds();
+  m.add_rounds(2);
+  m.add_passes();
+  m.add_stored_edges(100);
+  m.release_stored_edges(40);
+  m.add_stored_edges(10);
   EXPECT_EQ(m.rounds(), 3u);
   EXPECT_EQ(m.passes(), 1u);
   EXPECT_EQ(m.stored_edges(), 70u);
@@ -159,14 +160,24 @@ TEST(ResourceMeter, CountsAndPeak) {
   EXPECT_EQ(m.messages(), 7u);
   EXPECT_EQ(m.inner_iterations(), 2u);
   EXPECT_EQ(m.oracle_calls(), 3u);
-  EXPECT_FALSE(m.summary().empty());
+  // Every counter is printed, levels included, in table order.
+  const std::string summary = m.summary();
+  EXPECT_EQ(summary.rfind("rounds=3 passes=1 stored_edges=70 peak_edges=100 "
+                          "sketch_words=5 messages=7 inner_iterations=2 "
+                          "oracle_calls=3 ",
+                          0),
+            0u)
+      << summary;
+  EXPECT_NE(summary.find(" resident_edges=0 peak_resident_edges=0"),
+            std::string::npos)
+      << summary;
 }
 
 TEST(ResourceMeter, MergeTakesMaxPeak) {
   ResourceMeter a, b;
-  a.store_edges(10);
-  b.store_edges(100);
-  b.release_edges(100);
+  a.add_stored_edges(10);
+  b.add_stored_edges(100);
+  b.release_stored_edges(100);
   a.merge(b);
   EXPECT_EQ(a.peak_edges(), 100u);
   EXPECT_EQ(a.stored_edges(), 10u);
@@ -174,15 +185,15 @@ TEST(ResourceMeter, MergeTakesMaxPeak) {
 
 TEST(ResourceMeter, MergeAddsCountersAndCombinedStoredRaisesPeak) {
   ResourceMeter a, b;
-  a.add_round(2);
-  a.add_pass();
-  a.store_edges(60);  // peak 60, still held
-  b.add_round();
+  a.add_rounds(2);
+  a.add_passes();
+  a.add_stored_edges(60);  // peak 60, still held
+  b.add_rounds();
   b.add_inner_iterations(3);
   b.add_oracle_calls(4);
   b.add_sketch_words(5);
   b.add_messages(6);
-  b.store_edges(50);  // peak 50, still held
+  b.add_stored_edges(50);  // peak 50, still held
   a.merge(b);
   EXPECT_EQ(a.rounds(), 3u);
   EXPECT_EQ(a.passes(), 1u);
@@ -202,25 +213,25 @@ TEST(ResourceMeter, StageAggregationMatchesDirectMetering) {
   // result must equal metering the same events directly on one meter —
   // that equality is what makes the counters thread-count-invariant.
   ResourceMeter direct;
-  direct.add_round();
-  direct.add_pass();
-  direct.store_edges(500);
+  direct.add_rounds();
+  direct.add_passes();
+  direct.add_stored_edges(500);
   direct.add_inner_iterations(4);
   direct.add_oracle_calls(9);
-  direct.release_edges(500);
+  direct.release_stored_edges(500);
 
   ResourceMeter total, draw, offline, inner;
-  draw.add_round();
-  draw.add_pass();
-  draw.store_edges(500);
-  offline.store_edges(200);  // transient offline working set
-  offline.release_edges(200);
+  draw.add_rounds();
+  draw.add_passes();
+  draw.add_stored_edges(500);
+  offline.add_stored_edges(200);  // transient offline working set
+  offline.release_stored_edges(200);
   inner.add_inner_iterations(4);
   inner.add_oracle_calls(9);
   total.merge(draw);
   total.merge(offline);
   total.merge(inner);
-  total.release_edges(500);
+  total.release_stored_edges(500);
 
   EXPECT_EQ(total.rounds(), direct.rounds());
   EXPECT_EQ(total.passes(), direct.passes());
@@ -232,8 +243,8 @@ TEST(ResourceMeter, StageAggregationMatchesDirectMetering) {
 
 TEST(ResourceMeter, ReleaseClampsAtZero) {
   ResourceMeter m;
-  m.store_edges(5);
-  m.release_edges(9);
+  m.add_stored_edges(5);
+  m.release_stored_edges(9);
   EXPECT_EQ(m.stored_edges(), 0u);
   EXPECT_EQ(m.peak_edges(), 5u);
 }
