@@ -1,13 +1,16 @@
 // E5 (Theorem 15): running time vs m at fixed eps and p. Expected shape:
 // near-linear growth in m (the paper claims O(m poly(1/eps, log n))).
-// Each size runs twice — staged round pipeline with the offline re-solve
-// overlapped against the inner MW iterations (the default), and the
-// sequential stage reference — so BENCH_runtime.json tracks the overlap
-// win ("speedup" column) alongside the absolute trajectory.
+// Each size runs twice — the default solve (worker pool of hardware
+// concurrency: sweeps chunk-parallel, the offline re-solve overlapped with
+// the inner MW iterations and the next round's opening sweep) and the same
+// solve at oracle.threads = 1 (no pool: every stage inline, in order) — so
+// BENCH_runtime.json tracks the pipelined win ("speedup" = seconds_seq /
+// seconds) alongside the absolute trajectory.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "core/checkpoint.hpp"
 #include "core/solver.hpp"
 #include "graph/generators.hpp"
 #include "util/math.hpp"
@@ -17,8 +20,8 @@ int main() {
   using namespace dp;
   bench::header("E5 runtime (Theorem 15)",
                 "wall seconds vs m at fixed n, eps, p; expect near-linear "
-                "growth in m and a pipeline-overlap win vs the sequential "
-                "stage order");
+                "growth in m and a pipelined win vs the 1-thread "
+                "sequential stage order");
 
   bench::BenchReport report("runtime", {"n", "m", "seconds", "seconds_seq",
                                         "speedup", "certified_ratio"});
@@ -27,9 +30,12 @@ int main() {
 
   // Determinism gate: the certified ratio AND the per-round stored-edge
   // counts must be bitwise identical across thread counts AND across the
-  // pipelined/sequential stage orders (the fixed-chunk contract of the
-  // oracle sweeps, lambda, covering_us, the batched sampling engine's
-  // counter-based draws, and the round pipeline's single merge point).
+  // places the solver joins a round's Merge — deferred past the next
+  // opening sweep, or right after the round when it keeps checkpoints (an
+  // on_checkpoint hook, or an armed stop that never fires). This is the
+  // fixed-chunk contract of the oracle sweeps, lambda, covering_us, the
+  // batched sampling engine's counter-based draws, and the round
+  // pipeline's single merge point.
   {
     Graph g = gen::gnm(n, 3000, 3001);
     gen::weight_uniform(g, 1.0, 16.0, 3002);
@@ -39,49 +45,48 @@ int main() {
     opts.seed = 13;
     opts.max_outer_rounds = 2;
     opts.sparsifiers_per_round = 2;
-    struct Run {
-      std::size_t threads;
-      bool overlap;
-      bool cross_round;
-    };
-    const Run runs[] = {{1, false, false}, {1, true, false},
-                        {1, true, true},   {2, true, true},
-                        {8, true, true},   {8, true, false},
-                        {8, false, false}};
-    double ratio[7];
-    std::vector<std::size_t> stored[7];
+    enum Placement { kDeferred, kOnCheckpoint, kArmedStop };
+    double ratio[9];
+    std::vector<std::size_t> stored[9];
     std::size_t slot = 0;
-    for (const Run& run : runs) {
-      opts.oracle.threads = run.threads;
-      opts.pipeline_overlap = run.overlap;
-      opts.pipeline_cross_round = run.cross_round;
-      const auto result = core::solve_matching(g, opts);
-      ratio[slot] = result.certified_ratio;
-      for (const auto& rs : result.history) {
-        stored[slot].push_back(rs.stored_edges);
+    for (const std::size_t threads : {1, 2, 8}) {
+      for (const Placement placement :
+           {kDeferred, kOnCheckpoint, kArmedStop}) {
+        core::SolverOptions run = opts;
+        run.oracle.threads = threads;
+        if (placement == kOnCheckpoint) {
+          run.on_checkpoint = [](const core::RoundCheckpoint&) {
+            return true;
+          };
+        } else if (placement == kArmedStop) {
+          run.cancel = CancelToken::make();  // armed, never fired
+        }
+        const auto result = core::solve_matching(g, run);
+        ratio[slot] = result.certified_ratio;
+        for (const auto& rs : result.history) {
+          stored[slot].push_back(rs.stored_edges);
+        }
+        ++slot;
       }
-      ++slot;
     }
     for (std::size_t s = 1; s < slot; ++s) {
       if (ratio[0] != ratio[s]) {
         std::fprintf(stderr,
-                     "FATAL: certified ratio varies with threads/overlap/"
-                     "cross-round "
-                     "(run %zu: %.17g vs %.17g)\n",
+                     "FATAL: certified ratio varies with threads/join "
+                     "placement (run %zu: %.17g vs %.17g)\n",
                      s, ratio[0], ratio[s]);
         return 1;
       }
       if (stored[0] != stored[s]) {
         std::fprintf(stderr,
                      "FATAL: per-round stored-edge counts vary with "
-                     "threads/overlap/cross-round (run %zu)\n", s);
+                     "threads/join placement (run %zu)\n", s);
         return 1;
       }
     }
     std::printf("determinism: certified ratio and stored-edge counts "
-                "bitwise stable for 1/2/8 threads, pipeline on/off and "
-                "cross-round deferral on/off "
-                "(%.6f)\n\n", ratio[0]);
+                "bitwise stable for 1/2/8 threads x deferred/checkpoint/"
+                "armed-stop join placement (%.6f)\n\n", ratio[0]);
   }
 
   std::printf("%-10s %-10s %12s %12s %10s %12s\n", "n", "m", "seconds",
@@ -96,18 +101,18 @@ int main() {
     opts.max_outer_rounds = 4;
     opts.sparsifiers_per_round = 3;
 
-    opts.pipeline_overlap = true;
     WallTimer timer;
     const auto result = core::solve_matching(g, opts);
     const double sec = timer.seconds();
 
-    opts.pipeline_overlap = false;
+    opts.oracle.threads = 1;
     WallTimer seq_timer;
     const auto seq_result = core::solve_matching(g, opts);
     const double sec_seq = seq_timer.seconds();
     if (seq_result.certified_ratio != result.certified_ratio) {
       std::fprintf(stderr,
-                   "FATAL: pipeline on/off results diverge at m=%zu\n", m);
+                   "FATAL: pipelined and 1-thread results diverge at "
+                   "m=%zu\n", m);
       return 1;
     }
 

@@ -72,9 +72,9 @@ void StreamingSubstrate::materialize_union(
     Substrate::materialize_union(indices, ids, edges);
     return;
   }
-  // Cache-free on purpose: under cross-round pipelining this runs on the
-  // offline job thread CONCURRENTLY with the next round's opening pass,
-  // which replaces the per-round cache. The file's random-access path and
+  // Cache-free on purpose: with the solver's deferred Merge join this runs
+  // on the offline job thread CONCURRENTLY with the next round's opening
+  // pass, and the per-round cache is replaced by the draw after it. The file's random-access path and
   // the level graph are immutable for the bind, so this is race-free.
   const EdgeId* retained = lg_->retained().data();
   const stream::EdgeFileStream* file = source_.file();

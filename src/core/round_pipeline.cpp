@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/simd.hpp"
 
@@ -154,24 +155,39 @@ double RoundPipeline::open_round(const DualState& state) {
 }
 
 RoundPipeline::~RoundPipeline() {
-  if (pending_ && pending_offline_.valid()) pending_offline_.wait();
+  if (pending_offline_.valid()) pending_offline_.wait();
 }
 
 void RoundPipeline::join_pending(Incumbent& inc, ResourceMeter& meter) {
-  if (!pending_) return;
-  pending_ = false;
-  stage_merge(pending_offline_, inc, meter, pending_stored_);
+  if (!pending_offline_.valid()) return;
+  // Move the future out first: the handle is consumed even if the offline
+  // job's exception rethrows below.
+  Future<OfflineSolution> offline = std::move(pending_offline_);
+  const OfflineSolution sol = offline.get();
+  merge_offline(sol, inc);
+  // Aggregate the per-stage meters in fixed stage order — counter totals
+  // are therefore identical whatever thread interleaving produced them.
+  // (The draw's round/pass/store counters accumulate on the substrate
+  // meter, which the solver merges once at the end of the solve.)
+  meter.merge(ctx_.offline_meter);
+  meter.merge(ctx_.inner_meter);
+  ctx_.offline_meter.reset();
+  ctx_.inner_meter.reset();
+  // The round's samples are discarded once its iterations finish; peak
+  // space is a per-round quantity.
+  substrate_->release_stored(pending_stored_);
 }
 
 RoundPipeline::RoundReport RoundPipeline::run_round(std::size_t round,
                                                     double lambda,
                                                     DualState& state,
-                                                    Incumbent& inc,
-                                                    ResourceMeter& meter) {
+                                                    Incumbent& inc) {
+  if (pending_offline_.valid()) {
+    throw std::logic_error(
+        "RoundPipeline::run_round: the previous round's Merge was not "
+        "joined (call join_pending first)");
+  }
   RoundReport report;
-  // Defensive: a deferred Merge must land before this round touches the
-  // incumbent or the stage meters (the solver normally joined already).
-  join_pending(inc, meter);
   // Stage boundaries are safe points: no partially-applied state mutation
   // exists between stages, so a stop here loses at most buffer fills.
   options_.stop.throw_if_stopped("pipeline.multipliers");
@@ -191,19 +207,14 @@ RoundPipeline::RoundReport RoundPipeline::run_round(std::size_t round,
     if (offline.valid()) offline.wait();
     throw;
   }
-  if (options_.cross_round) {
-    // Cross-round pipelining: park the Merge. The offline job keeps
-    // running while the caller opens the next round (the opening sweep
-    // reads only the dual state and the immutable substrate table, the job
-    // reads only the frozen draw and the table — no shared mutable state).
-    // The draw stays frozen until the next stage_draw, which join_pending
-    // always precedes.
-    pending_offline_ = std::move(offline);
-    pending_stored_ = draws.stored_total();
-    pending_ = true;
-  } else {
-    stage_merge(offline, inc, meter, draws.stored_total());
-  }
+  // Park the Merge for join_pending. The offline job may keep running
+  // while the caller opens the next round (the opening sweep reads only
+  // the dual state and the immutable substrate table, the job reads only
+  // the frozen draw and the table — no shared mutable state). The draw
+  // stays frozen until the next stage_draw, which join_pending always
+  // precedes.
+  pending_offline_ = std::move(offline);
+  pending_stored_ = draws.stored_total();
   return report;
 }
 
@@ -263,7 +274,7 @@ Future<OfflineSolution> RoundPipeline::stage_offline(
     substrate_->materialize_union(frozen->union_support(), ids, edges);
     return solve_offline(ids, edges);
   };
-  if (!options_.overlap_offline || pool_ == nullptr) {
+  if (pool_ == nullptr) {
     return Future<OfflineSolution>::immediate(job());
   }
   return pool_->submit_job(std::move(job));
@@ -315,7 +326,7 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
   // monotone over its lifetime; differencing against the last-seen snapshot
   // charges exactly this round's flows to this round's inner meter. The
   // separation work is a pure function of the oracle inputs, so the delta
-  // is identical for any thread count, overlap mode or substrate.
+  // is identical for any thread count, join placement or substrate.
   const SeparationStats sep = oracle_->separation_stats();
   ctx_.inner_meter.add_max_flows(sep.max_flows - sep_seen_.max_flows);
   ctx_.inner_meter.add_max_flows_saved(sep.flows_saved -
@@ -327,24 +338,6 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
   ctx_.inner_meter.add_gh_tree_reuses(sep.gh_tree_reuses -
                                       sep_seen_.gh_tree_reuses);
   sep_seen_ = sep;
-}
-
-void RoundPipeline::stage_merge(Future<OfflineSolution>& offline,
-                                Incumbent& inc, ResourceMeter& meter,
-                                std::size_t stored_total) {
-  const OfflineSolution sol = offline.get();
-  merge_offline(sol, inc);
-  // Aggregate the per-stage meters in fixed stage order — counter totals
-  // are therefore identical whatever thread interleaving produced them.
-  // (The draw's round/pass/store counters accumulate on the substrate
-  // meter, which the solver merges once at the end of the solve.)
-  meter.merge(ctx_.offline_meter);
-  meter.merge(ctx_.inner_meter);
-  ctx_.offline_meter.reset();
-  ctx_.inner_meter.reset();
-  // The round's samples are discarded once its iterations finish; peak
-  // space is a per-round quantity.
-  substrate_->release_stored(stored_total);
 }
 
 OfflineSolution RoundPipeline::solve_offline(

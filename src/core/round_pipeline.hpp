@@ -26,24 +26,29 @@
 //    stored edges (Algorithm 2 step 5). Pure function of the frozen draw —
 //    the union is materialized from the substrate's immutable stored-edge
 //    attributes — so it runs as a one-shot pool job CONCURRENTLY with
-//    InnerRefine.
+//    InnerRefine, or inline before it when the solve has no worker pool
+//    (oracle.threads == 1).
 //  - InnerRefine: the t inner multiplicative-weight iterations on the
 //    stored samples (deferred refinement + MiniOracle + PST blend). Reads
 //    the frozen draw and mutates only the dual state and the incumbent's
 //    beta (Algorithm 3 step 5b raises).
-//  - Merge: the single join point. Joins the OfflineResolve future, folds
-//    the offline solution into the incumbent (best value + beta raise,
-//    Algorithm 2 step 6), aggregates the per-stage ResourceMeters into the
-//    solve meter in fixed stage order, and releases the round's stored
-//    edges on the substrate meter.
+//  - Merge: the single join point (join_pending). Joins the OfflineResolve
+//    future, folds the offline solution into the incumbent (best value +
+//    beta raise, Algorithm 2 step 6), aggregates the per-stage
+//    ResourceMeters into the solve meter in fixed stage order, and
+//    releases the round's stored edges on the substrate meter. run_round
+//    always returns with the Merge parked; the solver alone decides where
+//    the join lands: right after the NEXT round's open_round (so the
+//    offline tail overlaps that sweep), or right after run_round when it
+//    keeps per-round checkpoints, whose snapshot is the round boundary.
 //
 // Determinism contract (extending the fixed-chunk contract): OfflineResolve
 // and InnerRefine share only immutable inputs (the substrate's immutable
 // stored-edge attributes, the frozen draw, the union support), every sweep
-// runs on fixed
-// chunks with exact (min/max) reductions, and all cross-stage effects land
-// at Merge — so the pipelined round is bitwise identical to executing the
-// same stages sequentially, for any thread count AND for any access
+// runs on fixed chunks with exact (min/max) reductions, and all
+// cross-stage effects land at Merge — so the pipelined round is bitwise
+// identical to executing the same stages sequentially (oracle.threads ==
+// 1), for any thread count, either join placement AND any access
 // substrate (gated by tests/test_round_pipeline.cpp, tests/
 // test_substrate.cpp, bench_runtime and bench_substrate).
 //
@@ -95,17 +100,6 @@ struct RoundPipelineOptions {
   std::size_t sparsifiers = 4;
   /// Fixed chunk grain of every pipeline sweep (the determinism contract).
   std::size_t grain = 1024;
-  /// Run OfflineResolve concurrently with InnerRefine. Off = the
-  /// sequential reference; the result is bitwise identical either way.
-  bool overlap_offline = true;
-  /// Cross-round software pipelining: run_round returns with the round's
-  /// OfflineResolve future still in flight (the Merge join deferred) so the
-  /// NEXT round's opening multiplier sweep overlaps the offline tail. The
-  /// caller joins at the second join point — join_pending() right after
-  /// open_round — before anything reads the incumbent. The fold runs at
-  /// the same logical place in the round order either way, so the result
-  /// is bitwise identical for deferral on or off.
-  bool cross_round = false;
   /// Deferred-sparsifier probability knobs for the Multipliers stage.
   DeferredOptions deferred;
   /// Offline solver knobs for OfflineResolve.
@@ -148,23 +142,22 @@ class RoundPipeline {
   double open_round(const DualState& state);
 
   /// Execute the rest of the round on the ratios staged by open_round:
-  /// Multipliers -> Draw -> OfflineResolve (async) with InnerRefine ->
-  /// Merge. `lambda` must be open_round's return value (sets the PST
-  /// temperature alpha). Mutates the dual state and the incumbent; merges
-  /// the per-stage meters into `meter` at the join point.
+  /// Multipliers -> Draw -> OfflineResolve (async) with InnerRefine.
+  /// `lambda` must be open_round's return value (sets the PST temperature
+  /// alpha). Mutates the dual state and the incumbent's beta, and returns
+  /// with the round's Merge parked: the OfflineResolve future may still be
+  /// in flight. The previous round's Merge must have been joined
+  /// (std::logic_error otherwise).
   RoundReport run_round(std::size_t round, double lambda, DualState& state,
-                        Incumbent& inc, ResourceMeter& meter);
+                        Incumbent& inc);
 
-  /// True when a cross-round-deferred Merge awaits join_pending().
-  bool merge_pending() const noexcept { return pending_; }
-
-  /// The SECOND join point (cross-round pipelining): join the deferred
-  /// round's OfflineResolve future and run its Merge stage — fold the
-  /// offline solution into the incumbent, merge the stage meters into
-  /// `meter` in fixed stage order, release the round's stored edges. Must
-  /// run before anything reads the incumbent for the deferred round (the
-  /// solver calls it right after the next open_round, and on every loop
-  /// exit path). No-op when nothing is pending.
+  /// The Merge stage of the parked round: join its OfflineResolve future,
+  /// fold the offline solution into the incumbent, merge the stage meters
+  /// into `meter` in fixed stage order, release the round's stored edges.
+  /// Must run before anything reads the incumbent or the meters for that
+  /// round, and before the next run_round; the caller picks the place
+  /// (right after run_round, or after the next open_round so the offline
+  /// tail overlaps that sweep). No-op when nothing is parked.
   void join_pending(Incumbent& inc, ResourceMeter& meter);
 
   /// Offline re-solve on an explicit stored subgraph: full-graph edge ids
@@ -211,16 +204,12 @@ class RoundPipeline {
   double stage_multipliers(double lambda, std::size_t round);
   /// Stage 2: batched draw of all t sparsifiers through the substrate.
   const SamplingRound& stage_draw(std::size_t round);
-  /// Stage 3: launch the offline re-solve on the union as a one-shot job
-  /// (inline when overlap is off or no pool exists).
+  /// Stage 3: launch the offline re-solve on the union as a one-shot pool
+  /// job (inline when no pool exists).
   Future<OfflineSolution> stage_offline(const SamplingRound& draws);
   /// Stage 4: the t inner MW iterations on the stored samples.
   void stage_inner(const SamplingRound& draws, double alpha,
                    DualState& state, Incumbent& inc, RoundReport& report);
-  /// Stage 5: join the offline future, fold it into the incumbent, merge
-  /// the stage meters into `meter`, release the round's stored edges.
-  void stage_merge(Future<OfflineSolution>& offline, Incumbent& inc,
-                   ResourceMeter& meter, std::size_t stored_total);
 
   /// Exponent-shifted covering multipliers u_e (Theorem 5 rule) for the
   /// stored sample in ctx_.store_idx into `u`, on fixed-grain chunks with
@@ -252,11 +241,10 @@ class RoundPipeline {
   // Last-seen oracle separation counters; stage_inner differences against
   // this snapshot to charge each round's max-flow work to its own meter.
   SeparationStats sep_seen_;
-  // Cross-round deferred Merge: the offline future and its round's stored
-  // total, parked between run_round and join_pending.
+  // The parked Merge: the offline future (valid while parked) and its
+  // round's stored total, held between run_round and join_pending.
   Future<OfflineSolution> pending_offline_;
   std::size_t pending_stored_ = 0;
-  bool pending_ = false;
   RoundContext ctx_;
 };
 

@@ -17,9 +17,10 @@
 //  - the sweep chunk-parallelizes over the edges (run_chunks), and the stored
 //    sets are bitwise identical for any thread count;
 //  - any access substrate that can enumerate (idx, prob) pairs reproduces the
-//    exact same sets: the in-memory sweep (draw), a semi-streaming pass
-//    (draw_stream), and the MapReduce mapper (mapreduce::sample_round) are
-//    interchangeable and meter the same round/pass/store accounting;
+//    exact same sets: the in-memory sweep (draw), a semi-streaming pass in
+//    any arrival order (draw_stream_mapped), and the MapReduce mapper
+//    (mapreduce::sample_round) are interchangeable, and each access
+//    substrate meters the same round/pass/store accounting for them;
 //  - per-sparsifier supports and the round's union extract from the masks
 //    into one CSR (replacing the per-round vector-of-vectors), and all round
 //    state lives in reusable engine buffers.
@@ -170,16 +171,6 @@ class SamplingEngine {
   const SamplingRound& draw(const std::vector<double>& prob, std::size_t t,
                             std::uint64_t round, std::uint64_t seed,
                             ResourceMeter* meter = nullptr);
-
-  /// Identical draws made through one sequential pass over `stream`
-  /// (arrival position = edge index; prob.size() must equal
-  /// stream.num_edges()). The stream's meter is charged the pass; round and
-  /// store accounting mirror draw(). Stored sets are bitwise identical to
-  /// draw() on the same arguments.
-  const SamplingRound& draw_stream(const EdgeStream& stream,
-                                   const std::vector<double>& prob,
-                                   std::size_t t, std::uint64_t round,
-                                   std::uint64_t seed);
 
   /// Sentinel for draw_stream_mapped's position map: stream position is
   /// not a retained edge.

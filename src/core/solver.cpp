@@ -151,7 +151,6 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   popt.eps = eps;
   popt.sparsifiers = t;
   popt.grain = std::max<std::size_t>(1, options_.oracle.parallel_grain);
-  popt.overlap_offline = options_.pipeline_overlap;
   popt.offline = options_.offline;
   // Internal sparsifier accuracy is decoupled from eps: the driver
   // re-solves offline on the stored union every round and the dual
@@ -185,13 +184,6 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   // into the anytime result.
   const StopCheck stop(options_.cancel, options_.deadline);
   popt.stop = stop;
-  // Cross-round deferral of the Merge join (the pipeline's second join
-  // point). Per-round checkpointing pins the classic stage order: the
-  // checkpoint snapshots the meters at the round boundary, and a deferred
-  // join would move that boundary past the next round's opening pass.
-  popt.cross_round = options_.pipeline_cross_round &&
-                     options_.pipeline_overlap && !options_.on_checkpoint &&
-                     !stop.armed();
   substrate->set_stop(stop);
   substrate->bind(g, lg, pool, popt.grain);
 
@@ -373,10 +365,13 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     return ck;
   };
 
-  // Cross-round pipelining bookkeeping: a deferred round's report is
-  // booked (outer_rounds, oracle calls, history) only once its Merge joins
-  // at the second join point — the incumbent the history row records is
-  // the post-merge one, exactly as in the classic order.
+  // Where each round's Merge lands. run_round always parks it; this is
+  // the one place that joins it and books the round (outer_rounds, oracle
+  // calls, history) — the incumbent the history row records is the
+  // post-merge one. Without checkpoints the join is deferred past the next
+  // round's opening sweep, which then overlaps the offline tail. A
+  // checkpoint snapshots the meters at the round boundary, so with
+  // checkpoints kept the join lands right after run_round instead.
   struct PendingRound {
     bool active = false;
     std::size_t round = 0;
@@ -439,9 +434,9 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
       result.fault_detail = fault.what();
       break;
     }
-    // SECOND JOIN POINT (cross-round pipelining): the previous round's
-    // offline tail overlapped the sweep above; its Merge and bookkeeping
-    // land here, before anything below reads the incumbent.
+    // Deferred join: the previous round's offline tail overlapped the
+    // sweep above; its Merge and bookkeeping land here, before anything
+    // below reads the incumbent.
     finalize_pending();
     result.lambda = lambda;
     lambda_fresh = true;
@@ -455,7 +450,7 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
 
     RoundPipeline::RoundReport rep;
     try {
-      rep = pipeline.run_round(round, lambda, state, inc, result.meter);
+      rep = pipeline.run_round(round, lambda, state, inc);
     } catch (const SolveAborted& aborted) {
       // Stage/iteration boundaries are safe points, but inner iterations
       // may already have blended into the dual state; the anytime
@@ -473,24 +468,9 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
       break;
     }
     lambda_fresh = false;
-    if (popt.cross_round) {
-      // Merge deferred: the offline job is still in flight. Book the round
-      // after the join (next iteration's finalize_pending, or the one
-      // right after the loop on any exit path).
-      pending = PendingRound{true, round, lambda, rep};
-      continue;
-    }
-    ++result.outer_rounds;
-    result.oracle_calls += rep.oracle_calls;
-
-    result.history.push_back(RoundStats{round + 1, lambda, inc.beta,
-                                        inc.value, rep.stored_edges,
-                                        rep.oracle_calls});
-    DP_INFO("round " << round + 1 << " lambda=" << lambda
-                     << " beta=" << inc.beta << " best=" << inc.value
-                     << " stored=" << rep.stored_edges);
-
+    pending = PendingRound{true, round, lambda, rep};
     if (keep_checkpoints) {
+      finalize_pending();
       last_ck = build_checkpoint(round + 1, state, inc);
       if (options_.on_checkpoint && !options_.on_checkpoint(*last_ck)) {
         result.status = SolverStatus::kInterrupted;
@@ -499,7 +479,7 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     }
   }
   // Every loop exit (stopping rule, round budget, fault, abort) runs the
-  // join here if the last round's Merge is still deferred — the incumbent
+  // join here if the last round's Merge is still parked — the incumbent
   // and meters must be whole before the certificate below reads them.
   finalize_pending();
   // Early-stopped solves carry their resume handle: interrupt -> resume

@@ -21,10 +21,14 @@
 //
 // Steps 1-4 execute as the staged round pipeline of core/round_pipeline
 // (Multipliers -> Draw -> OfflineResolve || InnerRefine -> Merge): the
-// offline re-solve (step 3) runs concurrently with the inner iterations
-// (step 4) — they share only the frozen draw — and their effects join at a
-// single merge point, so the result is bitwise identical to the sequential
-// stage order for any thread count.
+// offline re-solve (step 3) runs on a pool worker concurrently with the
+// inner iterations (step 4) — they share only the frozen draw — and their
+// effects join at a single merge point. There is one schedule, no switch:
+// the merge is deferred past the next round's opening sweep unless
+// per-round checkpoints are kept (on_checkpoint set or a stop armed), in
+// which case it lands right after the round; with oracle.threads == 1
+// there is no pool and every stage runs inline, in order. The result is
+// bitwise identical for any thread count and either join placement.
 //
 // The solver meters rounds, stored edges and oracle calls, and reports a
 // rigorous dual upper bound: objective(x)/lambda is feasible for LP10/LP11
@@ -96,19 +100,6 @@ struct SolverOptions {
   ApproxOptions offline;
   /// Stop as soon as best/bound >= 1 - certified_gap (0 = only lambda rule).
   double target_ratio = 0.0;
-  /// Run the per-round offline re-solve concurrently with the inner MW
-  /// iterations (core/round_pipeline). Off = the sequential stage
-  /// reference; the result is bitwise identical either way.
-  bool pipeline_overlap = true;
-  /// Cross-round software pipelining: defer each round's Merge join past
-  /// the round boundary so the offline re-solve's tail overlaps the NEXT
-  /// round's opening multiplier sweep (the pipeline's second join point).
-  /// Takes effect only with pipeline_overlap on and no per-round
-  /// checkpointing (on_checkpoint / armed cancel / deadline force the
-  /// classic order, whose round boundary the checkpoint snapshot
-  /// captures). The SolverResult — meters included — is bitwise identical
-  /// for cross-round on or off, at any thread count, on every substrate.
-  bool pipeline_cross_round = true;
   /// Access substrate the whole solve runs through (src/access): nullptr =
   /// an internal in-memory substrate; otherwise a caller-owned backend
   /// (streaming / MapReduce / custom) the solver bind()s for this solve.

@@ -110,7 +110,8 @@ class Simulator {
 /// (seed, round, q, edge) the in-memory SamplingEngine sweeps), emitting
 /// (sparsifier q, edge index) pairs; reducer q collects sparsifier q's
 /// support. Returns the t supports, each ascending — bitwise identical to
-/// SamplingEngine::draw / draw_stream on the same (prob, t, round, seed).
+/// SamplingEngine::draw / draw_stream_mapped on the same (prob, t, round,
+/// seed).
 ///
 /// `meter` (typically the simulator's) is charged one pass (the mappers
 /// collectively read the input once) and the stored incidences, mirroring

@@ -1,9 +1,10 @@
 // Tests for the staged round pipeline (core/round_pipeline): the offline
 // re-solve overlapped with the inner MW iterations must be bitwise
-// equivalent to the sequential stage order — for the whole SolverResult
-// (value, lambda, beta, certified ratio, per-round history, meter
-// counters) and for 1/2/8 threads — and the offline/merge helpers must
-// behave like Algorithm 2 steps 5/6.
+// equivalent to the sequential stage order (oracle.threads == 1, every
+// stage inline) — for the whole SolverResult (value, lambda, beta,
+// certified ratio, per-round history, meter counters), for 1/2/8 threads
+// and for both places the solver joins a round's Merge — and the
+// offline/merge helpers must behave like Algorithm 2 steps 5/6.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "access/in_memory.hpp"
+#include "core/checkpoint.hpp"
 #include "core/round_pipeline.hpp"
 #include "core/solver.hpp"
 #include "graph/generators.hpp"
@@ -49,7 +51,7 @@ void expect_bitwise_equal(const SolverResult& a, const SolverResult& b,
         << label;
   }
   // Meter counters: the per-stage thread-local meters must aggregate to
-  // the same totals whatever the thread count or overlap mode.
+  // the same totals whatever the thread count or join placement.
   EXPECT_EQ(a.meter.rounds(), b.meter.rounds()) << label;
   EXPECT_EQ(a.meter.passes(), b.meter.passes()) << label;
   EXPECT_EQ(a.meter.stored_edges(), b.meter.stored_edges()) << label;
@@ -70,35 +72,60 @@ void expect_bitwise_equal(const SolverResult& a, const SolverResult& b,
   }
 }
 
-TEST(RoundPipeline, BitwiseIdenticalAcrossThreadsAndOverlap) {
+// The solver joins a round's Merge after the next round's opening sweep
+// (deferred) unless it keeps per-round checkpoints, which it does when an
+// on_checkpoint hook is set or a stop is armed (immediate join). Every
+// placement at every thread count must match the 1-thread deferred run.
+enum class JoinPlacement { kDeferred, kOnCheckpoint, kArmedStop };
+
+void expect_placement_matches_reference(JoinPlacement placement,
+                                        const char* name) {
   Graph g = gen::gnm(120, 900, 61);
   gen::weight_uniform(g, 1.0, 12.0, 62);
-  // Sequential reference: serial stages, one thread, no cross-round
-  // deferral.
+  // Sequential reference: no pool, so every stage runs inline and in order.
   SolverOptions ref_opt = pipeline_options();
-  ref_opt.pipeline_overlap = false;
-  ref_opt.pipeline_cross_round = false;
   ref_opt.oracle.threads = 1;
   const SolverResult ref = solve_matching(g, ref_opt);
   EXPECT_GT(ref.value, 0.0);
   EXPECT_FALSE(ref.history.empty());
 
-  for (const bool overlap : {false, true}) {
-    for (const bool cross_round : {false, true}) {
-      for (const std::size_t threads : {1, 2, 8}) {
-        SolverOptions opt = pipeline_options();
-        opt.pipeline_overlap = overlap;
-        opt.pipeline_cross_round = cross_round;
-        opt.oracle.threads = threads;
-        const SolverResult run = solve_matching(g, opt);
-        const std::string label =
-            std::string("overlap=") + (overlap ? "on" : "off") +
-            " cross_round=" + (cross_round ? "on" : "off") +
-            " threads=" + std::to_string(threads);
-        expect_bitwise_equal(ref, run, label.c_str());
-      }
+  for (const std::size_t threads : {1, 2, 8}) {
+    SolverOptions opt = pipeline_options();
+    opt.oracle.threads = threads;
+    std::size_t checkpoints = 0;
+    if (placement == JoinPlacement::kOnCheckpoint) {
+      opt.on_checkpoint = [&checkpoints](const RoundCheckpoint&) {
+        ++checkpoints;
+        return true;
+      };
+    } else if (placement == JoinPlacement::kArmedStop) {
+      opt.cancel = CancelToken::make();  // armed, never fired
+    }
+    const SolverResult run = solve_matching(g, opt);
+    const std::string label =
+        std::string(name) + " threads=" + std::to_string(threads);
+    expect_bitwise_equal(ref, run, label.c_str());
+    EXPECT_EQ(run.status, SolverStatus::kComplete) << label;
+    if (placement == JoinPlacement::kOnCheckpoint) {
+      EXPECT_EQ(checkpoints, run.outer_rounds) << label;
     }
   }
+}
+
+// Deferred join: at 2 and 8 threads the offline job overlaps both the
+// inner iterations and the next round's opening sweep.
+TEST(RoundPipeline, BitwiseIdenticalAcrossThreadsAndOverlap) {
+  expect_placement_matches_reference(JoinPlacement::kDeferred, "deferred");
+}
+
+TEST(RoundPipeline, BitwiseIdenticalAcrossThreadsJoinOnCheckpoint) {
+  expect_placement_matches_reference(JoinPlacement::kOnCheckpoint,
+                                     "on_checkpoint");
+}
+
+TEST(RoundPipeline, BitwiseIdenticalAcrossThreadsJoinOnArmedStop) {
+  expect_placement_matches_reference(JoinPlacement::kArmedStop,
+                                     "armed_stop");
 }
 
 TEST(RoundPipeline, BitwiseIdenticalForBMatching) {
@@ -106,12 +133,10 @@ TEST(RoundPipeline, BitwiseIdenticalForBMatching) {
   gen::weight_uniform(g, 1.0, 8.0, 72);
   const Capacities b = gen::random_capacities(60, 1, 3, 73);
   SolverOptions ref_opt = pipeline_options(0.15);
-  ref_opt.pipeline_overlap = false;
   ref_opt.oracle.threads = 1;
   const SolverResult ref = solve_b_matching(g, b, ref_opt);
   for (const std::size_t threads : {2, 8}) {
     SolverOptions opt = pipeline_options(0.15);
-    opt.pipeline_overlap = true;
     opt.oracle.threads = threads;
     const SolverResult run = solve_b_matching(g, b, opt);
     const std::string label = "bmatching threads=" + std::to_string(threads);
