@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,8 @@
 #include "graph/flow_arena.hpp"
 #include "graph/generators.hpp"
 #include "graph/gomory_hu.hpp"
+#include "matching/greedy.hpp"
+#include "util/dense_key_set.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/timer.hpp"
@@ -106,12 +109,17 @@ Measurement time_lagrangian(const Oracle& oracle, const Workload& w,
 /// stamped replay), 3 = the non-exp sweep body (scalar fill/divide/max
 /// loops vs the clones-dispatched fill_scaled_shift + divide_max_positive
 /// with the bit-pattern integer max reduction; bitwise-equality asserted
-/// before timing).
+/// before timing), 4 = zeta row grouping (std::sort + std::unique of the
+/// packed (vertex, level) keys vs the DenseKeySet bitmap drain), 5 =
+/// offline weight order of a stored union (std::stable_sort of the
+/// subgraph's ids by weight vs WeightOrder::restrict_to of the per-solve
+/// order). Rows 4 and 5 assert identical output before timing.
 void bench_kernels(bool quick) {
   bench::header("micro kernels (hot-path round 2)",
                 "isolated kernel speedups: vectorized exp batch, SIMD-ized "
                 "multiplier sweep, incremental Gusfield after contraction, "
-                "clones-dispatched fill/divide-max sweep body");
+                "clones-dispatched fill/divide-max sweep body, sort-free "
+                "zeta rows and offline weight order");
   bench::BenchReport report("micro_kernels",
                             {"kernel", "n", "reps", "base_per_sec",
                              "fast_per_sec", "speedup"});
@@ -375,6 +383,126 @@ void bench_kernels(bool quick) {
                 n, reps, base_rate, fast_rate, fast_rate / base_rate);
     report.add({3.0, static_cast<double>(n), static_cast<double>(reps),
                 base_rate, fast_rate, fast_rate / base_rate});
+  }
+
+  // Kernels 4 and 5 run on the dense benchmark instance's shape: gnm
+  // n=500, m=90k, eps=0.25 levels, a ~3/8 stored sample per inner
+  // iteration and a ~3/4 stored union per round.
+  const std::size_t sort_n = 500;
+  Graph dense = gen::gnm(sort_n, 90000, 4243);
+  gen::weight_uniform(dense, 1.0, 16.0, 4244);
+  const LevelGraph dense_lg(dense, Capacities::unit(sort_n), 0.25);
+
+  // ---- Kernel 4: zeta row grouping, keys/sec. The reference is the
+  // comparison sort the round pipeline used before (sort + unique). ----
+  {
+    const std::size_t reps = quick ? 20 : 60;
+    const auto levels = static_cast<std::uint64_t>(dense_lg.num_levels());
+    std::vector<std::uint64_t> keys;
+    for (const EdgeId e : dense_lg.retained()) {
+      if (rng.uniform(8) >= 3) continue;
+      const Edge& edge = dense.edge(e);
+      const auto k = static_cast<std::uint64_t>(dense_lg.level(e));
+      keys.push_back(static_cast<std::uint64_t>(edge.u) * levels + k);
+      keys.push_back(static_cast<std::uint64_t>(edge.v) * levels + k);
+    }
+    const std::uint64_t universe = sort_n * levels;
+    std::vector<std::uint64_t> sorted;
+    std::vector<std::uint64_t> drained;
+    DenseKeySet set;
+    auto run_sort = [&] {
+      sorted = keys;
+      std::sort(sorted.begin(), sorted.end());
+      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    };
+    auto run_set = [&] {
+      set.reset(universe);
+      for (const std::uint64_t k : keys) set.insert(k);
+      set.drain_sorted(drained);
+    };
+    run_sort();
+    run_set();
+    if (sorted != drained) {
+      std::fprintf(stderr,
+                   "FATAL: DenseKeySet rows differ from sort + unique\n");
+      std::exit(1);
+    }
+    WallTimer t_sort;
+    for (std::size_t r = 0; r < reps; ++r) {
+      run_sort();
+      sink += static_cast<double>(sorted.size());
+    }
+    const double sort_s = t_sort.seconds();
+    WallTimer t_set;
+    for (std::size_t r = 0; r < reps; ++r) {
+      run_set();
+      sink += static_cast<double>(drained.size());
+    }
+    const double set_s = t_set.seconds();
+    const double total =
+        static_cast<double>(keys.size()) * static_cast<double>(reps);
+    const double base_rate = total / sort_s;
+    const double fast_rate = total / set_s;
+    std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx  (rows %zu)\n",
+                "zeta_rows", keys.size(), reps, base_rate, fast_rate,
+                fast_rate / base_rate, drained.size());
+    report.add({4.0, static_cast<double>(keys.size()),
+                static_cast<double>(reps), base_rate, fast_rate,
+                fast_rate / base_rate});
+  }
+
+  // ---- Kernel 5: the offline re-solve's weight order, union edges/sec.
+  // The reference is the stable sort each matching routine ran on the
+  // union subgraph; the fast side restricts the per-solve order (built
+  // once, untimed, as the pipeline builds it once per solve). ----
+  {
+    const std::size_t reps = quick ? 20 : 60;
+    std::vector<EdgeId> ids;
+    for (EdgeId e = 0; e < dense.num_edges(); ++e) {
+      if (rng.uniform(4) != 0) ids.push_back(e);
+    }
+    std::vector<double> local_w(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      local_w[i] = dense.edge(ids[i]).w;
+    }
+    std::vector<EdgeId> sorted(ids.size());
+    auto run_sort = [&] {
+      std::iota(sorted.begin(), sorted.end(), EdgeId{0});
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [&](EdgeId a, EdgeId b) {
+                         return local_w[a] > local_w[b];
+                       });
+    };
+    WeightOrder order(dense);
+    run_sort();
+    if (order.restrict_to(ids) != sorted) {
+      std::fprintf(stderr,
+                   "FATAL: restricted weight order differs from the stable "
+                   "sort\n");
+      std::exit(1);
+    }
+    WallTimer t_sort;
+    for (std::size_t r = 0; r < reps; ++r) {
+      run_sort();
+      sink += static_cast<double>(sorted[r % sorted.size()]);
+    }
+    const double sort_s = t_sort.seconds();
+    WallTimer t_restrict;
+    for (std::size_t r = 0; r < reps; ++r) {
+      const std::vector<EdgeId> local = order.restrict_to(ids);
+      sink += static_cast<double>(local[r % local.size()]);
+    }
+    const double restrict_s = t_restrict.seconds();
+    const double total =
+        static_cast<double>(ids.size()) * static_cast<double>(reps);
+    const double base_rate = total / sort_s;
+    const double fast_rate = total / restrict_s;
+    std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx\n", "offline_ord",
+                ids.size(), reps, base_rate, fast_rate,
+                fast_rate / base_rate);
+    report.add({5.0, static_cast<double>(ids.size()),
+                static_cast<double>(reps), base_rate, fast_rate,
+                fast_rate / base_rate});
   }
   if (sink == 12345.6789) std::printf("sink %f\n", sink);
   std::printf("\n");

@@ -21,6 +21,7 @@
 // across runners; the _ms twins are informational absolutes.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -304,11 +305,21 @@ int main(int argc, char** argv) {
     const auto solve_deadline_us =
         static_cast<std::uint64_t>(4.0 * solo_ms * 1000.0);
 
+    // The overload phase must offer more solves than admission can hold
+    // (solve_slots in flight plus a full queue), or no limit can trip and
+    // the gate below cannot pass however the service behaves: at 8 workers
+    // that is 48 solves, while 40 quick ops carry about 6.
+    const auto overload_ops = std::max(
+        ops, static_cast<std::size_t>(std::ceil(
+                 static_cast<double>(sopt.solve_slots + sopt.queue_capacity) /
+                 mix.solve)));
+
     for (std::size_t phase = 0; phase < 3; ++phase) {
       const double mult = phase_mults[phase];
       const PhaseResult pr = run_phase(
-          svc, snap, gen, /*client=*/workers * 10 + phase, ops,
-          mult * capacity_rps, solve_deadline_us, expected);
+          svc, snap, gen, /*client=*/workers * 10 + phase,
+          mult >= 3.0 ? overload_ops : ops, mult * capacity_rps,
+          solve_deadline_us, expected);
 
       if (mult >= 3.0) {
         gate(pr.shed + pr.deadline + pr.stalled > 0,

@@ -3,44 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/simd.hpp"
 
 namespace dp::core {
 
 namespace {
-
-/// Sort packed row keys: fixed-grain chunk sorts in parallel, then a merge
-/// cascade over chunk-pair ranges. Both phases produce the unique sorted
-/// sequence whatever the thread count (sorting is a deterministic function
-/// of the input range), so the pass honors the fixed-chunk contract while
-/// parallelizing the dominant O(s log s) comparison work.
-void sort_keys(std::vector<std::uint64_t>& keys, ThreadPool* pool,
-               std::size_t grain) {
-  const std::size_t n = keys.size();
-  if (n <= 1) return;
-  if (pool == nullptr || n <= grain) {
-    std::sort(keys.begin(), keys.end());
-    return;
-  }
-  run_chunks(pool, 0, n, grain,
-             [&](std::size_t, std::size_t lo, std::size_t hi) {
-               std::sort(keys.begin() + static_cast<std::ptrdiff_t>(lo),
-                         keys.begin() + static_cast<std::ptrdiff_t>(hi));
-             });
-  for (std::size_t width = grain; width < n; width *= 2) {
-    const std::size_t pairs = (n + 2 * width - 1) / (2 * width);
-    run_jobs(pool, pairs, [&](std::size_t p) {
-      const std::size_t lo = p * 2 * width;
-      const std::size_t mid = lo + width;
-      if (mid >= n) return;
-      const std::size_t hi = std::min(n, lo + 2 * width);
-      std::inplace_merge(keys.begin() + static_cast<std::ptrdiff_t>(lo),
-                         keys.begin() + static_cast<std::ptrdiff_t>(mid),
-                         keys.begin() + static_cast<std::ptrdiff_t>(hi));
-    });
-  }
-}
 
 /// The compute half of the Theorem 5 multiplier rule, shared by the full
 /// retained sweep and the stored-sample refinement: u_i =
@@ -103,7 +72,8 @@ RoundPipeline::RoundPipeline(access::Substrate& substrate,
       oracle_(&oracle),
       pool_(oracle.worker_pool()),
       options_(std::move(options)),
-      sample_rng_(options_.sample_seed) {
+      sample_rng_(options_.sample_seed),
+      weight_order_(lg.graph()) {
   if (options_.grain == 0) options_.grain = 1;
   options_.sparsifiers =
       std::min(options_.sparsifiers, kMaxSparsifiersPerRound);
@@ -340,34 +310,36 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
   sep_seen_ = sep;
 }
 
-OfflineSolution RoundPipeline::solve_offline(
-    const std::vector<EdgeId>& ids, const std::vector<Edge>& edges) const {
+OfflineSolution RoundPipeline::solve_offline(const std::vector<EdgeId>& ids,
+                                             const std::vector<Edge>& edges) {
   Graph sub(substrate_->num_vertices());
   for (const Edge& edge : edges) {
     sub.add_edge(edge.u, edge.v, edge.w);
   }
+  // The solve's weight order restricted to the subgraph: the subgraph's own
+  // stable weight order (ids ascending), without a sort.
+  std::vector<EdgeId> order = weight_order_.restrict_to(ids);
   OfflineSolution out;
   out.bm = BMatching(lg_->graph().num_edges());
   if (unit_caps_) {
-    const Matching m = approx_weighted_matching(sub, options_.offline);
-    out.support.reserve(m.size());
-    for (EdgeId local : m.edges()) {
-      out.bm.set_multiplicity(ids[local], 1);
-      out.support.push_back(ids[local]);
-    }
+    const Matching m =
+        approx_weighted_matching(sub, std::move(order), options_.offline);
+    for (EdgeId local : m.edges()) out.bm.set_multiplicity(ids[local], 1);
   } else {
-    const BMatching bm = approx_weighted_b_matching(sub, *b_);
+    const BMatching bm = approx_weighted_b_matching(sub, *b_, order);
     for (EdgeId local = 0; local < bm.num_edges(); ++local) {
       if (bm.multiplicity(local) > 0) {
         out.bm.set_multiplicity(ids[local], bm.multiplicity(local));
-        out.support.push_back(ids[local]);
       }
     }
   }
-  std::sort(out.support.begin(), out.support.end());
-  for (EdgeId e : out.support) {
-    out.value += static_cast<double>(out.bm.multiplicity(e)) *
-                 lg_->graph().edge(e).w;
+  // ids ascending: one scan lists the support in ascending order.
+  for (EdgeId e : ids) {
+    if (out.bm.multiplicity(e) > 0) {
+      out.support.push_back(e);
+      out.value += static_cast<double>(out.bm.multiplicity(e)) *
+                   lg_->graph().edge(e).w;
+    }
   }
   return out;
 }
@@ -507,26 +479,19 @@ void RoundPipeline::build_zeta(const DualState& state) {
   const std::size_t grain = options_.grain;
 
   // zeta: packing multipliers on the active outer rows (i, k), built flat:
-  // chunk-parallel packed-key emission, parallel sort + unique, then two
-  // chunk-parallel exp sweeps (the max reduction is exact).
-  ctx_.row_keys.resize(2 * s);
-  std::uint64_t* row_keys = ctx_.row_keys.data();
-  run_chunks(pool_, 0, s, grain,
-             [&](std::size_t, std::size_t lo, std::size_t hi) {
-               for (std::size_t i = lo; i < hi; ++i) {
-                 const access::RetainedEdge& re = attr[i];
-                 const auto k = static_cast<std::uint64_t>(re.level);
-                 row_keys[2 * i] =
-                     static_cast<std::uint64_t>(re.u) * levels + k;
-                 row_keys[2 * i + 1] =
-                     static_cast<std::uint64_t>(re.v) * levels + k;
-               }
-             });
-  sort_keys(ctx_.row_keys, pool_, grain);
-  ctx_.row_keys.erase(
-      std::unique(ctx_.row_keys.begin(), ctx_.row_keys.end()),
-      ctx_.row_keys.end());
-  row_keys = ctx_.row_keys.data();
+  // both endpoints' packed keys go into a bitmap over the n * L key space,
+  // drained in ascending order (sorted distinct rows in linear time), then
+  // two chunk-parallel exp sweeps (the max reduction is exact).
+  ctx_.row_set.reset(static_cast<std::uint64_t>(substrate_->num_vertices()) *
+                     levels);
+  for (std::size_t i = 0; i < s; ++i) {
+    const access::RetainedEdge& re = attr[i];
+    const auto k = static_cast<std::uint64_t>(re.level);
+    ctx_.row_set.insert(static_cast<std::uint64_t>(re.u) * levels + k);
+    ctx_.row_set.insert(static_cast<std::uint64_t>(re.v) * levels + k);
+  }
+  ctx_.row_set.drain_sorted(ctx_.row_keys);
+  const std::uint64_t* row_keys = ctx_.row_keys.data();
 
   const std::size_t rows = ctx_.row_keys.size();
   const std::size_t chunks = rows == 0 ? 0 : (rows + grain - 1) / grain;

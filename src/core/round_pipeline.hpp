@@ -67,10 +67,12 @@
 #include "core/weight_levels.hpp"
 #include "graph/graph.hpp"
 #include "matching/approx.hpp"
+#include "matching/greedy.hpp"
 #include "matching/matching.hpp"
 #include "sparsify/deferred.hpp"
 #include "util/accounting.hpp"
 #include "util/cancel.hpp"
+#include "util/dense_key_set.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -160,12 +162,15 @@ class RoundPipeline {
   /// tail overlaps that sweep). No-op when nothing is parked.
   void join_pending(Incumbent& inc, ResourceMeter& meter);
 
-  /// Offline re-solve on an explicit stored subgraph: full-graph edge ids
-  /// plus their attributes (parallel arrays). The initial support and the
-  /// per-round union both route through here; only stored-edge data is
-  /// read.
+  /// Offline re-solve on an explicit stored subgraph: full-graph edge ids,
+  /// strictly ascending (std::invalid_argument otherwise), plus their
+  /// attributes (parallel arrays). The initial support, the warm re-solve's
+  /// retained set and the per-round union all route through here; only
+  /// stored-edge data is read. The matching scans the solve's one weight
+  /// order restricted to `ids` (WeightOrder scratch — the pipeline never
+  /// runs two of these at once).
   OfflineSolution solve_offline(const std::vector<EdgeId>& ids,
-                                const std::vector<Edge>& edges) const;
+                                const std::vector<Edge>& edges);
 
   /// Algorithm 2 step 6: fold an offline solution into the incumbent —
   /// remember the best integral solution and raise beta when the
@@ -189,7 +194,8 @@ class RoundPipeline {
     std::vector<double> sample_prob;
     std::vector<double> u_now;
     std::vector<StoredMultiplier> us;
-    std::vector<std::uint64_t> row_keys;
+    DenseKeySet row_set;                   // zeta row grouping
+    std::vector<std::uint64_t> row_keys;   // sorted distinct zeta rows
     std::vector<double> expos;
     ZetaMap zeta;
     std::vector<std::uint32_t> chunk_cursor;
@@ -225,8 +231,9 @@ class RoundPipeline {
   /// substrates copy rows; the file-backed backend serves its per-round
   /// sample cache through stored_attr().
   void gather_stored_attrs();
-  /// Chunk-parallel zeta build: packed row keys, parallel sort + merge
-  /// cascade, exp sweeps with exact max reduction.
+  /// zeta build: the sample's packed (vertex, level) row keys, sorted and
+  /// deduplicated in linear time by a DenseKeySet bitmap over the n * L
+  /// key space, then chunk-parallel exp sweeps with exact max reduction.
   void build_zeta(const DualState& state);
 
   access::Substrate* substrate_;
@@ -237,6 +244,9 @@ class RoundPipeline {
   ThreadPool* pool_;
   RoundPipelineOptions options_;
   CounterRng sample_rng_;
+  // The solve's stable weight-descending edge order, computed once (weights
+  // never change within a solve) and restricted per offline re-solve.
+  WeightOrder weight_order_;
   double staged_min_ratio_ = 0.0;  // open_round's exact min (= lambda)
   // Last-seen oracle separation counters; stage_inner differences against
   // this snapshot to charge each round's max-flow work to its own meter.

@@ -1,7 +1,7 @@
 #include "matching/approx.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "matching/blossom_weighted.hpp"
 #include "matching/greedy.hpp"
@@ -144,14 +144,18 @@ bool add_free_edges(MatchState& state,
 
 Matching local_search_matching(const Graph& g, std::size_t max_rounds,
                                std::uint64_t seed) {
-  MatchState state(g);
-  state.init_from(greedy_matching(g));
+  return local_search_matching(g, weight_descending_order(g), max_rounds,
+                               seed);
+}
 
-  std::vector<EdgeId> order(g.num_edges());
-  std::iota(order.begin(), order.end(), EdgeId{0});
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return g.edge(a).w > g.edge(b).w;
-  });
+Matching local_search_matching(const Graph& g,
+                               std::vector<EdgeId> weight_order,
+                               std::size_t max_rounds, std::uint64_t seed) {
+  MatchState state(g);
+  state.init_from(greedy_matching(g, weight_order));
+
+  // The sweep order starts weight-descending and is reshuffled below.
+  std::vector<EdgeId> order = std::move(weight_order);
   Rng rng(seed);
 
   for (std::size_t round = 0; round < max_rounds; ++round) {
@@ -179,10 +183,17 @@ Matching local_search_matching(const Graph& g, std::size_t max_rounds,
 }
 
 Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts) {
+  return approx_weighted_matching(g, weight_descending_order(g), opts);
+}
+
+Matching approx_weighted_matching(const Graph& g,
+                                  std::vector<EdgeId> weight_order,
+                                  const ApproxOptions& opts) {
   if (opts.exact_threshold > 0 && g.num_vertices() <= opts.exact_threshold) {
     return max_weight_matching(g);
   }
-  return local_search_matching(g, opts.max_rounds, opts.seed);
+  return local_search_matching(g, std::move(weight_order), opts.max_rounds,
+                               opts.seed);
 }
 
 Matching approx_weighted_matching(const Graph& g) {
@@ -191,7 +202,14 @@ Matching approx_weighted_matching(const Graph& g) {
 
 BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
                                      std::size_t max_rounds) {
-  BMatching bm = greedy_b_matching(g, b);
+  return approx_weighted_b_matching(g, b, weight_descending_order(g),
+                                    max_rounds);
+}
+
+BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
+                                     const std::vector<EdgeId>& weight_order,
+                                     std::size_t max_rounds) {
+  BMatching bm = greedy_b_matching(g, b, weight_order);
   std::vector<std::int64_t> residual(g.num_vertices());
   for (std::size_t v = 0; v < g.num_vertices(); ++v) {
     residual[v] = b[static_cast<Vertex>(v)];
@@ -200,12 +218,6 @@ BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
   for (std::size_t v = 0; v < g.num_vertices(); ++v) {
     residual[v] -= deg[v];
   }
-
-  std::vector<EdgeId> order(g.num_edges());
-  std::iota(order.begin(), order.end(), EdgeId{0});
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId x, EdgeId y) {
-    return g.edge(x).w > g.edge(y).w;
-  });
 
   // Unit-transfer local search: move one unit from a lighter incident edge
   // to a heavier one while capacities allow.
@@ -225,7 +237,7 @@ BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
 
   for (std::size_t round = 0; round < max_rounds; ++round) {
     bool changed = false;
-    for (EdgeId e : order) {
+    for (EdgeId e : weight_order) {
       const Edge& edge = g.edge(e);
       for (;;) {
         std::int64_t ru = residual[edge.u];

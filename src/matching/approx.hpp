@@ -17,6 +17,7 @@
 // pool worker concurrently with the inner-iteration sweeps.
 
 #include <cstdint>
+#include <vector>
 
 #include "matching/matching.hpp"
 
@@ -32,18 +33,32 @@ struct ApproxOptions {
   std::uint64_t seed = 1;
 };
 
+// Every solver below has a core taking `weight_order`, a
+// weight_descending_order of g (matching/greedy) that the greedy start and
+// the local-search sweeps share, and a wrapper that sorts it once. Local
+// search takes the order by value: it reshuffles it as its sweep order.
+
 /// Approximate maximum weight matching.
 Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts);
 Matching approx_weighted_matching(const Graph& g);
+Matching approx_weighted_matching(const Graph& g,
+                                  std::vector<EdgeId> weight_order,
+                                  const ApproxOptions& opts);
 
 /// Local-search-only solver (never dispatches to exact); exposed for
 /// benchmarking the components separately.
 Matching local_search_matching(const Graph& g, std::size_t max_rounds,
                                std::uint64_t seed);
+Matching local_search_matching(const Graph& g,
+                               std::vector<EdgeId> weight_order,
+                               std::size_t max_rounds, std::uint64_t seed);
 
 /// Approximate maximum weight uncapacitated b-matching: weight-greedy with
 /// saturation followed by unit-transfer local search.
 BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
+                                     std::size_t max_rounds = 32);
+BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
+                                     const std::vector<EdgeId>& weight_order,
                                      std::size_t max_rounds = 32);
 
 }  // namespace dp

@@ -2,12 +2,56 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp {
+
+void group_weight_classes(const std::vector<double>& promise,
+                          DeferredScratch& scratch) {
+  constexpr std::int16_t kNoClass = std::numeric_limits<std::int16_t>::min();
+  const std::size_t num_edges = promise.size();
+  // floor(log2) of a positive finite double lies in [-1074, 1023], so every
+  // class fits the int16 per-edge cache (computed once, read twice).
+  scratch.edge_class.resize(num_edges);
+  int lo = std::numeric_limits<int>::max();
+  int hi = std::numeric_limits<int>::min();
+  for (std::size_t e = 0; e < num_edges; ++e) {
+    if (!(promise[e] > 0)) {
+      scratch.edge_class[e] = kNoClass;
+      continue;
+    }
+    const int cls = static_cast<int>(std::floor(std::log2(promise[e])));
+    scratch.edge_class[e] = static_cast<std::int16_t>(cls);
+    lo = std::min(lo, cls);
+    hi = std::max(hi, cls);
+  }
+  scratch.class_keys.clear();
+  if (lo > hi) return;
+  // Counting pass over [lo, hi]; edges are visited in ascending order, so
+  // each class lists its edges ascending — the order std::sort gives the
+  // packed keys, whose biased class offset keeps negative classes first.
+  std::vector<std::size_t>& offsets = scratch.class_offsets;
+  offsets.assign(static_cast<std::size_t>(hi - lo) + 2, 0);
+  for (const std::int16_t cls : scratch.edge_class) {
+    if (cls != kNoClass) ++offsets[static_cast<std::size_t>(cls - lo) + 1];
+  }
+  for (std::size_t c = 1; c < offsets.size(); ++c) {
+    offsets[c] += offsets[c - 1];
+  }
+  scratch.class_keys.resize(offsets.back());
+  for (std::size_t e = 0; e < num_edges; ++e) {
+    const std::int16_t cls = scratch.edge_class[e];
+    if (cls == kNoClass) continue;
+    const auto biased = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(cls) + (std::int64_t{1} << 31));
+    scratch.class_keys[offsets[static_cast<std::size_t>(cls - lo)]++] =
+        (biased << 32) | static_cast<std::uint64_t>(e);
+  }
+}
 
 void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
                                  const DeferredEdgeFetch& fetch,
@@ -29,21 +73,9 @@ void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
   // the promise weights and inflated by gamma^2 (Lemma 17: p' computed from
   // sigma times O(chi^2) dominates the exact-weight probability).
   //
-  // Classes group by one sort of packed (class, edge index) keys instead of
-  // a std::map of vectors; the biased class offset keeps negative classes
-  // ordered below positive ones.
-  scratch.class_keys.clear();
-  scratch.class_keys.reserve(num_edges);
-  for (std::size_t e = 0; e < num_edges; ++e) {
-    if (!(promise[e] > 0)) continue;
-    const int cls = static_cast<int>(std::floor(std::log2(promise[e])));
-    const auto biased =
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(cls) +
-                                   (std::int64_t{1} << 31));
-    scratch.class_keys.push_back((biased << 32) |
-                                 static_cast<std::uint64_t>(e));
-  }
-  std::sort(scratch.class_keys.begin(), scratch.class_keys.end());
+  // Classes group by a stable counting pass over the class range instead of
+  // a std::map of vectors (group_weight_classes).
+  group_weight_classes(promise, scratch);
 
   const CounterRng rng(seed);
   const double log_n =

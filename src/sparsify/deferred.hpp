@@ -42,11 +42,21 @@ struct DeferredOptions {
 /// plus the strength scratch. One instance serves any sequence of rounds.
 struct DeferredScratch {
   std::vector<std::uint64_t> class_keys;   // packed (class, edge index)
+  std::vector<std::int16_t> edge_class;    // per-edge class cache
+  std::vector<std::size_t> class_offsets;  // counting-pass buckets
   std::vector<std::uint32_t> class_members;  // per-class member indices
   std::vector<Edge> class_edges;           // per-class subgraph, reused
   std::vector<double> class_strength;      // per-class strengths, reused
   StrengthScratch strength;
 };
+
+/// Weight classes of the positive promises: fills scratch.class_keys with
+/// packed (floor(log2 promise) + 2^31) << 32 | edge index keys, sorted
+/// ascending — by class, then by edge — in O(m + class range) with one
+/// counting pass; the sequence equals std::sort of the same keys.
+/// Non-positive (and NaN) promises get no key.
+void group_weight_classes(const std::vector<double>& promise,
+                          DeferredScratch& scratch);
 
 /// Per-edge inclusion probabilities for a deferred sparsifier built from
 /// promise weights (strength estimation + gamma^2 oversampling). Exposed so
@@ -61,10 +71,11 @@ std::vector<double> deferred_probabilities(std::size_t n,
 
 /// The sampling engine's path: same probabilities as above, computed into a
 /// caller-owned vector with all working memory in `scratch` (steady-state
-/// rounds allocate nothing). Weight classes group by one sort, per-class
-/// seeds are counter-based (a pure function of (seed, class)), and the
-/// strength estimation inside each class runs its per-level jobs on `pool`
-/// — so the output is bitwise identical for any thread count.
+/// rounds allocate nothing). Weight classes group by one counting pass
+/// (group_weight_classes), per-class seeds are counter-based (a pure
+/// function of (seed, class)), and the strength estimation inside each
+/// class runs its per-level jobs on `pool` — so the output is bitwise
+/// identical for any thread count.
 void deferred_probabilities_into(std::size_t n, const std::vector<Edge>& edges,
                                  const std::vector<double>& promise,
                                  const DeferredOptions& options,
