@@ -13,6 +13,7 @@
 #include "core/sampling.hpp"
 #include "core/solver.hpp"
 #include "graph/generators.hpp"
+#include "sparsify/deferred.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -84,9 +85,9 @@ bool sampling_stage_bench(dp::bench::BenchReport& report) {
     dopt.gamma = std::sqrt(std::pow(static_cast<double>(n), 0.25));
     dopt.sampling_constant = config.sampling_constant;
 
+    const std::vector<double> prob =
+        deferred_probabilities(n, g.edges(), promise, dopt, n + 19);
     core::SamplingEngine engine;
-    const std::vector<double> prob(
-        engine.probabilities(n, g.edges(), promise, dopt, n + 19));
 
     // Both sides are timed end-to-end: draw + union + one consumption walk
     // per sparsifier (the engine defers per-sparsifier materialization to

@@ -25,7 +25,11 @@ const core::SamplingRound& InMemorySubstrate::draw(
     const std::vector<double>& prob, std::size_t t, std::uint64_t round,
     std::uint64_t seed) {
   poll_stop("mem.draw");
-  return engine_.draw(prob, t, round, seed, &meter_);
+  const core::SamplingRound& draws = engine_.draw(prob, t, round, seed);
+  meter_.add_rounds();
+  meter_.add_passes();
+  meter_.add_stored_edges(draws.stored_total());
+  return draws;
 }
 
 }  // namespace dp::access

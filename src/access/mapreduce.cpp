@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "sparsify/deferred.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp::access {
@@ -110,11 +111,13 @@ bool MapReduceSubstrate::cached_draw_valid(const std::vector<double>& prob,
 
 bool MapReduceSubstrate::predraw_batch(const std::vector<double>& prob,
                                        std::size_t t, std::uint64_t round,
-                                       std::uint64_t seed) {
-  const std::size_t k = compress_k_;
+                                       std::uint64_t seed, std::size_t k) {
+  // A batch of k > 1 draws at the boosted envelope so later rounds can
+  // filter locally; a plain draw (k = 1) draws at the exact probabilities.
   envelope_.resize(prob.size());
   for (std::size_t e = 0; e < prob.size(); ++e) {
-    envelope_[e] = std::min(1.0, prob[e] * config_.compression_boost);
+    envelope_[e] = k == 1 ? prob[e]
+                          : std::min(1.0, prob[e] * config_.compression_boost);
   }
   // One simulator round draws all k rounds' envelope masks: the mapper
   // evaluates each round's counter-based mask at the envelope probability
@@ -128,7 +131,7 @@ bool MapReduceSubstrate::predraw_batch(const std::vector<double>& prob,
   std::vector<CounterRng> rngs;
   rngs.reserve(k);
   for (std::size_t j = 0; j < k; ++j) {
-    rngs.push_back(core::sampling_round_rng(seed, round + j));
+    rngs.push_back(sampling_round_rng(seed, round + j));
   }
   std::vector<mapreduce::KeyValue> output;
   try {
@@ -139,8 +142,7 @@ bool MapReduceSubstrate::predraw_batch(const std::vector<double>& prob,
           for (const mapreduce::KeyValue& kv : shard) {
             const double env = std::bit_cast<double>(kv.value);
             for (std::size_t j = 0; j < k; ++j) {
-              std::uint64_t mask =
-                  core::sampling_mask(rngs[j], t, kv.key, env);
+              std::uint64_t mask = sampling_mask(rngs[j], t, kv.key, env);
               while (mask != 0) {
                 emit.push_back(
                     {j * 64 +
@@ -156,8 +158,10 @@ bool MapReduceSubstrate::predraw_batch(const std::vector<double>& prob,
           for (const std::uint64_t idx : values) emit.push_back({key, idx});
         });
   } catch (const mapreduce::ReducerMemoryExceeded&) {
+    // A plain draw over the cap is a model violation: the solve fails.
+    if (k == 1) throw;
     // The envelope over-shipped to some (j, q) reducer: the model refuses
-    // the batch. Degrade to per-round draws for the rest of the solve —
+    // the batch. Degrade to plain draws for the rest of the solve —
     // correctness is untouched, only the compression saving is lost.
     compress_k_ = 1;
     batch_valid_ = false;
@@ -186,22 +190,16 @@ bool MapReduceSubstrate::predraw_batch(const std::vector<double>& prob,
 const core::SamplingRound& MapReduceSubstrate::adopt_cached(
     const std::vector<double>& prob, std::size_t t, std::uint64_t round) {
   const std::uint64_t j = round - batch_base_;
-  const CounterRng round_rng = core::sampling_round_rng(batch_seed_, round);
-  supports_scratch_.assign(t, {});
-  std::size_t stored_total = 0;
+  const CounterRng round_rng = sampling_round_rng(batch_seed_, round);
   // Exact local filter: the candidates are a bitwise superset of this
   // round's draw (mask monotone in p), so re-evaluating each candidate's
-  // mask at its ACTUAL probability reproduces SamplingEngine::draw's
-  // supports exactly — candidates ascend, so the supports do too.
+  // mask at its ACTUAL probability reproduces the in-memory sweep's masks
+  // exactly; every other index stays 0.
+  std::uint32_t* masks = engine_.begin_round(prob.size(), t);
   for (const std::uint32_t idx : batch_candidates_[j]) {
-    std::uint64_t mask = core::sampling_mask(round_rng, t, idx, prob[idx]);
-    while (mask != 0) {
-      supports_scratch_[static_cast<std::size_t>(__builtin_ctzll(mask))]
-          .push_back(idx);
-      mask &= mask - 1;
-      ++stored_total;
-    }
+    masks[idx] = sampling_mask(round_rng, t, idx, prob[idx]);
   }
+  const core::SamplingRound& draws = engine_.end_round();
   if (j > 0) {
     // This sampling round cost ZERO simulator rounds/passes: the batch
     // round already shipped its candidates. Record the saving; the round
@@ -210,9 +208,9 @@ const core::SamplingRound& MapReduceSubstrate::adopt_cached(
     meter_.add_saved_rounds(1);
     meter_.add_saved_passes(1);
   }
-  meter_.add_stored_edges(stored_total);
+  meter_.add_stored_edges(draws.stored_total());
   if (j + 1 >= batch_candidates_.size()) batch_valid_ = false;  // exhausted
-  return engine_.adopt_supports(prob.size(), t, supports_scratch_);
+  return draws;
 }
 
 const core::SamplingRound& MapReduceSubstrate::draw(
@@ -224,19 +222,15 @@ const core::SamplingRound& MapReduceSubstrate::draw(
       return adopt_cached(prob, t, round);
     }
     batch_valid_ = false;  // stale/violated batch: start a fresh one here
-    if (predraw_batch(prob, t, round, seed)) {
-      return adopt_cached(prob, t, round);
-    }
-    // Cap fallback: compression just disabled itself; fall through.
   }
   // One genuine simulator round: mappers evaluate sampling_mask over their
-  // shards, reducer q collects sparsifier q's support under the memory
-  // cap. sample_round charges the pass + stored incidences; the simulator
-  // (sharing the substrate meter) charges the round and shuffle volume.
-  const auto supports =
-      mapreduce::sample_round(*sim_, prob, t, round, seed, &meter_);
-  charge_shard_draw();
-  return engine_.adopt_supports(prob.size(), t, supports);
+  // shards, reducer (j, q) collects sparsifier q's support of round-in-batch
+  // j under the memory cap. A plain draw is a batch of one; a refused
+  // compressed batch (cap fallback) retries as one.
+  if (!predraw_batch(prob, t, round, seed, compress_k_)) {
+    predraw_batch(prob, t, round, seed, 1);
+  }
+  return adopt_cached(prob, t, round);
 }
 
 }  // namespace dp::access

@@ -1,9 +1,10 @@
 #pragma once
 // MapReduce access substrate (the model of Lattanzi et al. SPAA'11, as
 // used by Section 4 of the paper). One sampling round = one REAL simulator
-// round: mappers evaluate the counter-based inclusion masks over their
-// input shards, the shuffle routes (sparsifier, edge) pairs, and one
-// reducer per sparsifier collects its support under the O(n^{1+1/p})
+// round: mappers evaluate the counter-based inclusion masks (sparsify/
+// deferred's sampling_mask) over their input shards, the shuffle routes
+// (sparsifier, edge) pairs, and one reducer per sparsifier collects its
+// support under the O(n^{1+1/p})
 // reducer-memory cap — which the simulator ENFORCES (a violating solve
 // throws ReducerMemoryExceeded rather than silently overfitting the
 // model).
@@ -31,7 +32,10 @@
 // pre-draw falls back to per-round draws and disables compression for the
 // rest of the solve. Saved simulator rounds/passes land on the meter as
 // saved_rounds/saved_passes, making simulator rounds < outer rounds
-// directly observable.
+// directly observable. A plain draw (no compression, or after the cap
+// fallback) is the same simulator round as a batch of one, drawn at the
+// exact probabilities instead of the envelope; there a cap violation is
+// the model refusing the solve and propagates as ReducerMemoryExceeded.
 
 #include <cstdint>
 #include <memory>
@@ -116,13 +120,16 @@ class MapReduceSubstrate final : public Substrate {
   bool cached_draw_valid(const std::vector<double>& prob, std::size_t t,
                          std::uint64_t round, std::uint64_t seed) const;
 
-  /// Execute the batch pre-draw simulator round based at `round`. Returns
-  /// false (and disables compression) on ReducerMemoryExceeded.
+  /// Execute the simulator round that pre-draws the k rounds based at
+  /// `round` (k = 1: a plain draw at the exact probabilities). For k > 1,
+  /// returns false (and disables compression) on ReducerMemoryExceeded;
+  /// for k = 1 the violation propagates.
   bool predraw_batch(const std::vector<double>& prob, std::size_t t,
-                     std::uint64_t round, std::uint64_t seed);
+                     std::uint64_t round, std::uint64_t seed, std::size_t k);
 
   /// Filter round `round`'s cached candidates with its exact
-  /// probabilities and adopt the resulting supports.
+  /// probabilities into the engine's masks and charge the stored
+  /// incidences.
   const core::SamplingRound& adopt_cached(const std::vector<double>& prob,
                                           std::size_t t, std::uint64_t round);
 
@@ -132,7 +139,7 @@ class MapReduceSubstrate final : public Substrate {
   Config config_;
   std::size_t reducer_memory_ = 0;
   std::unique_ptr<mapreduce::Simulator> sim_;
-  core::SamplingEngine engine_;
+  core::SamplingEngine engine_;  // mask buffer + union (no pool)
 
   // Vertex-range sharding of the retained table (built at bind).
   std::vector<std::vector<ShardRun>> shard_runs_;
@@ -147,7 +154,6 @@ class MapReduceSubstrate final : public Substrate {
   std::uint64_t batch_seed_ = 0;
   std::vector<double> envelope_;  // pre-draw probabilities (batch base)
   std::vector<std::vector<std::uint32_t>> batch_candidates_;  // per j
-  std::vector<std::vector<std::uint32_t>> supports_scratch_;
 };
 
 }  // namespace dp::access

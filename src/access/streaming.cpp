@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sparsify/deferred.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -22,7 +23,7 @@ void StreamingSubstrate::on_bind() {
     stream_ = std::make_unique<EdgeStream>(*g_, nullptr);
   }
   const std::vector<EdgeId>& retained = lg_->retained();
-  retained_of_.assign(g_->num_edges(), core::SamplingEngine::kNotRetained);
+  retained_of_.assign(g_->num_edges(), kNoIndex);
   for (std::size_t idx = 0; idx < retained.size(); ++idx) {
     retained_of_[retained[idx]] = static_cast<std::uint32_t>(idx);
   }
@@ -98,35 +99,25 @@ void StreamingSubstrate::release_stored(std::size_t k) {
   }
 }
 
-void StreamingSubstrate::multiplier_sweep(const SweepKernel& kernel) {
-  // The round's ONE pass over the input. Arrivals come in stream order;
-  // each retained arrival is a one-element base-relative kernel span at
-  // its retained index, so the filled buffers are identical to any other
-  // backend's. Graph mode serves the span from the attribute table; file
-  // mode builds it from the record just decoded out of the current block.
-  //
-  // Fault site (phase 0): the pass may die at a deterministic arrival
-  // offset (block-aligned on the file backend); the retry re-walks from
-  // the start (kernel fills are pure per index, so partial fills are
-  // simply overwritten) and every physical walk — including the aborted
-  // ones — is charged as a pass.
-  const std::uint64_t pass = pass_ordinal_++;
+template <typename Fn>
+void StreamingSubstrate::walk_pass(std::uint64_t pass, std::uint64_t phase,
+                                   std::optional<std::uint64_t> order_seed,
+                                   Fn&& fn) {
   const std::uint64_t m = g_->num_edges();
-  const RetainedEdge* table = table_.data();
-  const bool file_mode = table_.empty();
-  const core::LevelGraph& lg = *lg_;
   const std::uint32_t* retained_of = retained_of_.data();
   const bool poll_chunks = stop_.armed();
   for (std::uint64_t attempt = 0;; ++attempt) {
-    meter_.add_passes();
-    const std::uint64_t fail_at = align_fault(
-        fault_offset_or_none(FaultSite::kStreamPass, pass, 0, attempt, m));
+    // Every physical walk is a pass, except the draw's first walk: it
+    // rides the pass the sweep already charged.
+    if (phase == 0 || attempt > 0) meter_.add_passes();
+    const std::uint64_t fail_at = align_fault(fault_offset_or_none(
+        FaultSite::kStreamPass, pass, phase, attempt, m));
     try {
       std::uint64_t arrival = 0;
-      stream_->for_each_pass_indexed([&](EdgeId pos, const Edge& e) {
+      const auto visit = [&](EdgeId pos, const Edge& e) {
         // Pass-chunk safe point: one pass dominates a streaming round's
-        // wall time, so a deadline must be able to fire inside it. The
-        // kernel only fills pure per-index buffers — abandoning the pass
+        // wall time, so a deadline must be able to fire inside it. Both
+        // phases only fill pure per-index buffers — abandoning the walk
         // loses no state. SolveAborted is not a SubstrateFault, so it
         // bypasses the retry loop below.
         if (poll_chunks && (arrival & (kStopPollStride - 1)) == 0) {
@@ -134,96 +125,91 @@ void StreamingSubstrate::multiplier_sweep(const SweepKernel& kernel) {
         }
         if (arrival++ == fail_at) {
           throw SubstrateFault(
-              "stream pass died mid-pass (multiplier sweep)",
+              phase == 0 ? "stream pass died mid-pass (multiplier sweep)"
+                         : "stream pass died mid-pass (draw)",
               {fault_site_name(FaultSite::kStreamPass), pass, attempt});
         }
         const std::uint32_t idx = retained_of[pos];
-        if (idx == core::SamplingEngine::kNotRetained) return;
-        if (file_mode) {
-          const RetainedEdge re{pos, e.u, e.v, e.w, lg.level(pos)};
-          kernel(idx, idx + 1, &re);
-        } else {
-          kernel(idx, idx + 1, table + idx);
-        }
-      });
+        if (idx != kNoIndex) fn(idx, pos, e);
+      };
+      if (order_seed.has_value()) {
+        stream_->for_each_pass_shuffled_indexed(*order_seed, visit);
+      } else {
+        stream_->for_each_pass_indexed(visit);
+      }
       return;
     } catch (const SubstrateFault&) {
       meter_.add_faults();
       if (attempt + 1 >= retry_.max_attempts) throw;
-      retry_.backoff(injector_, FaultSite::kStreamPass, pass, 0, attempt);
+      retry_.backoff(injector_, FaultSite::kStreamPass, pass, phase, attempt);
     }
   }
+}
+
+void StreamingSubstrate::multiplier_sweep(const SweepKernel& kernel) {
+  // The round's ONE pass over the input (phase 0), in stream order; each
+  // retained arrival is a one-element base-relative kernel span at its
+  // retained index, so the filled buffers are identical to any other
+  // backend's. Graph mode serves the span from the attribute table; file
+  // mode builds it from the record just decoded out of the current block.
+  // A retry re-walks from the start: kernel fills are pure per index, so
+  // partial fills are simply overwritten.
+  const RetainedEdge* table = table_.data();
+  const bool file_mode = table_.empty();
+  const core::LevelGraph& lg = *lg_;
+  walk_pass(pass_ordinal_++, 0, std::nullopt,
+            [&](std::uint32_t idx, EdgeId pos, const Edge& e) {
+              if (file_mode) {
+                const RetainedEdge re{pos, e.u, e.v, e.w, lg.level(pos)};
+                kernel(idx, idx + 1, &re);
+              } else {
+                kernel(idx, idx + 1, table + idx);
+              }
+            });
 }
 
 const core::SamplingRound& StreamingSubstrate::draw(
     const std::vector<double>& prob, std::size_t t, std::uint64_t round,
     std::uint64_t seed) {
-  // Same pass as the multiplier sweep (already charged): the draw decision
-  // for each arriving edge is evaluated inline and only sampled edges are
-  // stored. The arrival order rotates through a few shuffles so adjacent
-  // rounds see different (adversarial) orders — exercising the
-  // order-invariance of the counter-based masks — while the stream's
-  // per-seed permutation cache stays bounded for arbitrarily long solves.
-  // (On the file backend the shuffle permutes BLOCKS, keeping IO
+  // Same pass as the multiplier sweep (already charged; phase 1 of its
+  // fault key): each arriving retained edge's mask is written inline and
+  // only sampled edges are stored. The arrival order rotates through a few
+  // shuffles so adjacent rounds see different (adversarial) orders —
+  // exercising the order-invariance of the counter-based masks — while the
+  // stream's per-seed permutation cache stays bounded for arbitrarily long
+  // solves. (On the file backend the shuffle permutes BLOCKS, keeping IO
   // sequential within each block; the masks are arrival-order-invariant,
-  // so the stored sets — and the solve — stay bitwise identical.)
+  // so the stored sets — and the solve — stay bitwise identical.) A
+  // complete walk writes every retained index exactly once, so a retry
+  // overwrites whatever a dead attempt left in the mask buffer.
   const std::uint64_t order_seed = mix_combine(seed ^ 0x9e37'79b9'7f4a'7c15ULL,
                                                round & 3);
-  // Fault site (phase 1): the draw shares the sweep's logical pass, so its
-  // injection key is (that pass ordinal, phase 1). A failed draw attempt
-  // means the fused pass physically re-walks — charged as an extra pass —
-  // and the engine's draw restarts clean (its buffers reset at entry).
   const std::uint64_t pass = pass_ordinal_ == 0 ? 0 : pass_ordinal_ - 1;
-  const std::uint64_t m = g_->num_edges();
-  const bool poll_chunks = stop_.armed();
-  for (std::uint64_t attempt = 0;; ++attempt) {
-    const std::uint64_t fail_at = align_fault(
-        fault_offset_or_none(FaultSite::kStreamPass, pass, 1, attempt, m));
-    try {
-      // The arrival probe carries both interleaved duties of the physical
-      // re-walk: the deterministic mid-pass fault and the pass-chunk stop
-      // poll (the draw stores only sampled edges, so abandoning it loses
-      // no state either).
-      const std::function<void(std::uint64_t)> probe =
-          [&](std::uint64_t arrival) {
-            if (poll_chunks && (arrival & (kStopPollStride - 1)) == 0) {
-              stop_.throw_if_stopped("stream.pass");
-            }
-            if (arrival == fail_at) {
-              throw SubstrateFault(
-                  "stream pass died mid-pass (draw)",
-                  {fault_site_name(FaultSite::kStreamPass), pass, attempt});
-            }
-          };
-      const core::SamplingRound& draws = engine_.draw_stream_mapped(
-          *stream_, retained_of_, order_seed, prob, t, round, seed,
-          fail_at == kNoFault && !poll_chunks ? nullptr : &probe);
-      meter_.add_rounds();
-      meter_.add_stored_edges(draws.stored_total());
-      if (table_.empty()) {
-        // File mode: snapshot the drawn union's attributes into the
-        // per-round cache so the pipeline's stored_attr() reads are RAM
-        // lookups, not per-index file records. Exactly o(m) entries,
-        // budget-charged, dropped at release_stored. The previous round's
-        // cache was released before this draw (join_pending precedes
-        // stage_draw), but uncharge defensively in case a caller skipped
-        // the release.
-        if (!cache_idx_.empty()) uncharge_resident(cache_idx_.size());
-        cache_idx_ = draws.union_support();
-        cache_attr_.resize(cache_idx_.size());
-        for (std::size_t i = 0; i < cache_idx_.size(); ++i) {
-          cache_attr_[i] = load_attr(cache_idx_[i]);
-        }
-        charge_resident(cache_idx_.size(), "stored-sample attribute cache");
-      }
-      return draws;
-    } catch (const SubstrateFault&) {
-      meter_.add_faults();
-      if (attempt + 1 >= retry_.max_attempts) throw;
-      meter_.add_passes();  // the retry physically re-walks the fused pass
-      retry_.backoff(injector_, FaultSite::kStreamPass, pass, 1, attempt);
+  std::uint32_t* masks = engine_.begin_round(prob.size(), t);
+  const CounterRng round_rng = sampling_round_rng(seed, round);
+  walk_pass(pass, 1, order_seed,
+            [&](std::uint32_t idx, EdgeId, const Edge&) {
+              masks[idx] = sampling_mask(round_rng, t, idx, prob[idx]);
+            });
+  const core::SamplingRound& draws = engine_.end_round();
+  meter_.add_rounds();
+  meter_.add_stored_edges(draws.stored_total());
+  if (table_.empty()) {
+    // File mode: snapshot the drawn union's attributes into the per-round
+    // cache so the pipeline's stored_attr() reads are RAM lookups, not
+    // per-index file records. Exactly o(m) entries, budget-charged,
+    // dropped at release_stored. The previous round's cache was released
+    // before this draw (join_pending precedes stage_draw), but uncharge
+    // defensively in case a caller skipped the release.
+    if (!cache_idx_.empty()) uncharge_resident(cache_idx_.size());
+    cache_idx_ = draws.union_support();
+    cache_attr_.resize(cache_idx_.size());
+    for (std::size_t i = 0; i < cache_idx_.size(); ++i) {
+      cache_attr_[i] = load_attr(cache_idx_[i]);
     }
+    charge_resident(cache_idx_.size(), "stored-sample attribute cache");
   }
+  return draws;
 }
 
 }  // namespace dp::access

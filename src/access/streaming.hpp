@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "access/substrate.hpp"
@@ -88,13 +89,26 @@ class StreamingSubstrate final : public Substrate {
   /// block boundary so every attempt dies at the same decode point.
   std::uint64_t align_fault(std::uint64_t fail_at) const noexcept;
 
+  /// One logical pass under the shared fault / stop / retry discipline:
+  /// walks the stream (in stream order, or in the shuffled order of
+  /// `order_seed`) and calls fn(idx, pos, edge) for every retained
+  /// arrival. Faults key by (pass, phase) — phase 0 = the multiplier
+  /// sweep, phase 1 = the draw's re-walk; every physical walk is charged
+  /// as a pass except the draw's first.
+  template <typename Fn>
+  void walk_pass(std::uint64_t pass, std::uint64_t phase,
+                 std::optional<std::uint64_t> order_seed, Fn&& fn);
+
+  /// retained_of_ entry of a stream position that is not a retained edge.
+  static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
+
   // The stream is unmetered: the substrate charges its meter explicitly so
   // the draw's physical re-walk of the round's pass is not double-counted.
   // (In file mode the FILE meters IO bytes / prefetch hits / stalls — those
   // are physical-IO quantities of each walk, not per-round model charges.)
   std::unique_ptr<EdgeStream> stream_;
   std::vector<std::uint32_t> retained_of_;  // stream position -> retained idx
-  core::SamplingEngine engine_;             // sequential (no pool)
+  core::SamplingEngine engine_;             // mask buffer + union (no pool)
   std::uint64_t pass_ordinal_ = 0;          // logical passes this solve
 
   // File-mode per-round stored-attribute cache: exactly the drawn union,

@@ -65,19 +65,16 @@ void Substrate::bind(const Graph& g, const core::LevelGraph& lg,
   const std::vector<EdgeId>& retained = lg.retained();
   retained_count_ = retained.size();
   table_.clear();
-  edge_view_.clear();
   if (materializes_table()) {
     table_.resize(retained.size());
-    edge_view_.resize(retained.size());
     for (std::size_t idx = 0; idx < retained.size(); ++idx) {
       const EdgeId e = retained[idx];
       const Edge& edge = g.edge(e);
       table_[idx] = RetainedEdge{e, edge.u, edge.v, edge.w, lg.level(e)};
-      edge_view_[idx] = edge;
     }
-    // The table and its Edge view describe one attribute record per
-    // retained edge; charge them once. This is the charge that makes an
-    // in-RAM solve over a graph bigger than the budget a typed error.
+    // One attribute record per retained edge. This is the charge that
+    // makes an in-RAM solve over a graph bigger than the budget a typed
+    // error.
     charge_resident(retained.size(), "retained attribute table");
   }
   on_bind();

@@ -40,8 +40,8 @@
 // process memory (the materialized attribute table, IO block buffers, the
 // stored-sample attribute cache), metered via add/release_resident_edges in
 // edge units. Exceeding the cap is a typed ConfigError at the charge
-// point, not a silent RAM spike. The table and its Edge view describe the
-// same records and are charged once per retained edge.
+// point, not a silent RAM spike. The table is charged once per retained
+// edge.
 //
 // Determinism contract: every per-edge quantity is a pure function of the
 // edge's retained index and solver state, reductions are exact (min/max),
@@ -144,9 +144,6 @@ class Substrate {
   /// for per-index attribute access that works on every backend.
   const std::vector<RetainedEdge>& table() const noexcept { return table_; }
 
-  /// Edge-typed view of the table (same order). Empty when table-free.
-  const std::vector<Edge>& edge_view() const noexcept { return edge_view_; }
-
   /// Attributes of one retained index. On table-backed substrates this is
   /// the table row; the file-backed backend serves STORED indices from its
   /// per-round sample cache (falling back to a file record read). Valid
@@ -157,11 +154,14 @@ class Substrate {
   }
 
   /// Batch-fetch edge records for retained indices (the deferred
-  /// probability stage's per-class gather). Table-backed: a copy from the
-  /// view; file-backed: random-access record reads. Thread-safe.
+  /// probability stage's per-class gather). Table-backed: built from the
+  /// table rows; file-backed: random-access record reads. Thread-safe.
   virtual void fetch_edges(const std::uint32_t* idxs, std::size_t count,
                            Edge* out) const {
-    for (std::size_t i = 0; i < count; ++i) out[i] = edge_view_[idxs[i]];
+    for (std::size_t i = 0; i < count; ++i) {
+      const RetainedEdge& re = table_[idxs[i]];
+      out[i] = Edge{re.u, re.v, re.w};
+    }
   }
 
   /// Model accounting for the round loop's accesses. Reset by bind().
@@ -260,7 +260,6 @@ class Substrate {
   std::size_t n_ = 0;
   std::size_t retained_count_ = 0;
   std::vector<RetainedEdge> table_;
-  std::vector<Edge> edge_view_;
   stream::EdgeSource source_;  // default: read the bound Graph
   std::size_t budget_ = 0;     // resident-edge cap; 0 = unlimited
   ResourceMeter meter_;

@@ -244,10 +244,7 @@ Future<OfflineSolution> RoundPipeline::stage_offline(
     substrate_->materialize_union(frozen->union_support(), ids, edges);
     return solve_offline(ids, edges);
   };
-  if (pool_ == nullptr) {
-    return Future<OfflineSolution>::immediate(job());
-  }
-  return pool_->submit_job(std::move(job));
+  return submit_job(pool_, std::move(job));
 }
 
 void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "sparsify/deferred.hpp"
 #include "util/error.hpp"
 
 namespace dp::core {
@@ -18,7 +19,7 @@ void check_t(std::size_t t) {
 /// sampling_mask fully unrolls and its independent mix chains pipeline
 /// (~1.7x over the runtime-t loop). The expression evaluated per (q, idx)
 /// is exactly sampling_mask's, so the draws stay bitwise identical to the
-/// generic path used by draw_stream_mapped and the MapReduce mapper.
+/// generic runtime-t path the streaming and MapReduce substrates evaluate.
 template <std::size_t T>
 void mask_sweep_fixed(const CounterRng& round_rng, const double* prob,
                       std::uint32_t* masks, std::size_t lo, std::size_t hi) {
@@ -47,82 +48,30 @@ void mask_sweep(const CounterRng& round_rng, std::size_t t,
 
 }  // namespace
 
+std::uint32_t* SamplingEngine::begin_round(std::size_t num_edges,
+                                           std::size_t t) {
+  check_t(t);
+  round_.t_ = t;
+  round_.masks_.assign(num_edges, 0);
+  return round_.masks_.data();
+}
+
 const SamplingRound& SamplingEngine::draw(const std::vector<double>& prob,
                                           std::size_t t, std::uint64_t round,
-                                          std::uint64_t seed,
-                                          ResourceMeter* meter) {
-  check_t(t);
-  const std::size_t m = prob.size();
-  round_.t_ = t;
-  round_.masks_.resize(m);
+                                          std::uint64_t seed) {
+  std::uint32_t* masks = begin_round(prob.size(), t);
   const CounterRng round_rng = sampling_round_rng(seed, round);
   // Separate mask and extract passes: keeping the draw loop free of
   // counter stores lets it pipeline the independent per-q mix chains
   // (measurably faster than fusing the counting into the sweep).
-  std::uint32_t* masks = round_.masks_.data();
-  run_chunks(pool_, 0, m, grain_,
+  run_chunks(pool_, 0, prob.size(), grain_,
              [&](std::size_t, std::size_t lo, std::size_t hi) {
                mask_sweep(round_rng, t, prob.data(), masks, lo, hi);
              });
-  extract_union();
-  if (meter != nullptr) {
-    meter->add_rounds();
-    meter->add_passes();
-    meter->add_stored_edges(round_.stored_total());
-  }
-  return round_;
+  return end_round();
 }
 
-const SamplingRound& SamplingEngine::draw_stream_mapped(
-    const EdgeStream& stream, const std::vector<std::uint32_t>& retained_of,
-    std::uint64_t order_seed, const std::vector<double>& prob, std::size_t t,
-    std::uint64_t round, std::uint64_t seed,
-    const std::function<void(std::uint64_t)>* arrival_probe) {
-  check_t(t);
-  if (retained_of.size() != stream.num_edges()) {
-    throw ConfigError(
-        "SamplingEngine::draw_stream_mapped: map/stream size mismatch");
-  }
-  round_.t_ = t;
-  round_.masks_.assign(prob.size(), 0);
-  const CounterRng round_rng = sampling_round_rng(seed, round);
-  // Sequential pass in an arbitrary (seed-shuffled) arrival order: the
-  // mask of retained index idx is the same pure function of
-  // (seed, round, q, idx) every other substrate evaluates, so the arrival
-  // permutation cannot change the stored sets.
-  std::uint64_t arrival = 0;
-  stream.for_each_pass_shuffled_indexed(
-      order_seed, [&](EdgeId pos, const Edge&) {
-        if (arrival_probe != nullptr) (*arrival_probe)(arrival++);
-        const std::uint32_t idx = retained_of[pos];
-        if (idx == kNotRetained) return;
-        round_.masks_[idx] = sampling_mask(round_rng, t, idx, prob[idx]);
-      });
-  extract_union();
-  return round_;
-}
-
-const SamplingRound& SamplingEngine::adopt_supports(
-    std::size_t num_edges, std::size_t t,
-    const std::vector<std::vector<std::uint32_t>>& supports) {
-  check_t(t);
-  if (supports.size() != t) {
-    throw ConfigError(
-        "SamplingEngine::adopt_supports: expected one support per "
-        "sparsifier");
-  }
-  round_.t_ = t;
-  round_.masks_.assign(num_edges, 0);
-  for (std::size_t q = 0; q < t; ++q) {
-    for (const std::uint32_t idx : supports[q]) {
-      round_.masks_[idx] |= std::uint32_t{1} << q;
-    }
-  }
-  extract_union();
-  return round_;
-}
-
-void SamplingEngine::extract_union() {
+const SamplingRound& SamplingEngine::end_round() {
   const std::size_t m = round_.masks_.size();
   const std::size_t chunks = m == 0 ? 0 : (m + grain_ - 1) / grain_;
   // Two slots per chunk: union count and stored-incidence (popcount) sum.
@@ -169,6 +118,7 @@ void SamplingEngine::extract_union() {
                  }
                }
              });
+  return round_;
 }
 
 }  // namespace dp::core

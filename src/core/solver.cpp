@@ -19,6 +19,26 @@
 
 namespace dp::core {
 
+namespace {
+
+/// Sparsifiers per round: `requested`, or when 0 the automatic
+/// ceil(max(1, ln gamma) / eps) clamped to [2, 24], with gamma =
+/// n^{1/(2p)} the promise distortion of one round; never more than the
+/// engine's kMaxSparsifiersPerRound.
+std::size_t sparsifiers_per_round(std::size_t requested, std::size_t n,
+                                  double p, double eps) {
+  std::size_t t = requested;
+  if (t == 0) {
+    const double gamma = std::pow(static_cast<double>(n), 1.0 / (2.0 * p));
+    t = static_cast<std::size_t>(
+        std::ceil(std::max(1.0, std::log(gamma)) / eps));
+    t = std::clamp<std::size_t>(t, 2, 24);
+  }
+  return std::min(t, kMaxSparsifiersPerRound);
+}
+
+}  // namespace
+
 Solver::Solver(const Graph& g, const Capacities& b, SolverOptions options)
     : g_(&g), b_(b), options_(std::move(options)) {}
 
@@ -55,15 +75,8 @@ SolverResult Solver::resolve(const WarmStart& prev,
       bits(prev.p) != bits(p) || prev.n != g.num_vertices()) {
     return fallback("solver configuration or vertex count changed");
   }
-  std::size_t t = options_.sparsifiers_per_round;
-  if (t == 0) {
-    const double gamma =
-        std::pow(static_cast<double>(g.num_vertices()), 1.0 / (2.0 * p));
-    t = static_cast<std::size_t>(
-        std::ceil(std::max(1.0, std::log(gamma)) / eps));
-    t = std::clamp<std::size_t>(t, 2, 24);
-  }
-  t = std::min(t, kMaxSparsifiersPerRound);
+  const std::size_t t = sparsifiers_per_round(
+      options_.sparsifiers_per_round, g.num_vertices(), p, eps);
   if (prev.sparsifiers != t) return fallback("sparsifier count changed");
   const LevelGraph lg(g, b_, eps);
   if (lg.retained().empty()) return fallback("no retained edges");
@@ -127,13 +140,8 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
 
   // ---- Outer-round shape: t sparsifiers per round, round cap. ----
   const double gamma = std::pow(n, 1.0 / (2.0 * p));
-  std::size_t t = options_.sparsifiers_per_round;
-  if (t == 0) {
-    t = static_cast<std::size_t>(
-        std::ceil(std::max(1.0, std::log(gamma)) / eps));
-    t = std::clamp<std::size_t>(t, 2, 24);
-  }
-  t = std::min(t, kMaxSparsifiersPerRound);
+  const std::size_t t = sparsifiers_per_round(
+      options_.sparsifiers_per_round, g.num_vertices(), p, eps);
   std::size_t max_rounds = options_.max_outer_rounds;
   if (max_rounds == 0) {
     max_rounds =

@@ -1,13 +1,9 @@
 #include "mapreduce/mapreduce.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <exception>
 #include <sstream>
 #include <unordered_map>
-
-#include "core/sampling.hpp"
-#include "util/rng.hpp"
 
 namespace dp::mapreduce {
 
@@ -193,58 +189,6 @@ std::vector<KeyValue> Simulator::round(
     output.insert(output.end(), r.begin(), r.end());
   }
   return output;
-}
-
-std::vector<std::vector<std::uint32_t>> sample_round(
-    Simulator& sim, const std::vector<double>& prob, std::size_t t,
-    std::uint64_t round, std::uint64_t seed, ResourceMeter* meter) {
-  // Same t cap the in-memory engine enforces (the contract is bitwise
-  // agreement with SamplingEngine::draw, including its rejections).
-  if (t > core::kMaxSparsifiersPerRound) {
-    throw ConfigError("sample_round: at most 32 sparsifiers per round");
-  }
-  // Input record per edge: key = edge index, value = its inclusion
-  // probability (bit-punned; mapreduce values are 64-bit words).
-  std::vector<KeyValue> input;
-  input.reserve(prob.size());
-  for (std::size_t idx = 0; idx < prob.size(); ++idx) {
-    input.push_back({idx, std::bit_cast<std::uint64_t>(prob[idx])});
-  }
-
-  const CounterRng round_rng = core::sampling_round_rng(seed, round);
-  const auto output = sim.round(
-      input,
-      [&](const std::vector<KeyValue>& shard, std::vector<KeyValue>& emit) {
-        for (const KeyValue& kv : shard) {
-          std::uint64_t mask = core::sampling_mask(
-              round_rng, t, kv.key, std::bit_cast<double>(kv.value));
-          while (mask != 0) {
-            emit.push_back({static_cast<std::uint64_t>(
-                                __builtin_ctzll(mask)),
-                            kv.key});
-            mask &= mask - 1;
-          }
-        }
-      },
-      [](std::uint64_t key, const std::vector<std::uint64_t>& values,
-         std::vector<KeyValue>& emit) {
-        for (std::uint64_t idx : values) emit.push_back({key, idx});
-      });
-
-  std::vector<std::vector<std::uint32_t>> supports(t);
-  std::size_t stored_total = 0;
-  for (const KeyValue& kv : output) {
-    supports[kv.key].push_back(static_cast<std::uint32_t>(kv.value));
-    ++stored_total;
-  }
-  // Shards are contiguous and each mapper emits in shard order, so the
-  // grouped values already ascend; the sort is a cheap guarantee.
-  for (auto& s : supports) std::sort(s.begin(), s.end());
-  if (meter != nullptr) {
-    meter->add_passes();
-    meter->add_stored_edges(stored_total);
-  }
-  return supports;
 }
 
 }  // namespace dp::mapreduce

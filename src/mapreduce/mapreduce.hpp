@@ -104,21 +104,4 @@ class Simulator {
   RetryPolicy retry_;
 };
 
-/// One deferred-sampling round executed as a single MapReduce round: mappers
-/// evaluate the counter-based inclusion mask of each edge in their shard
-/// (core/sampling's sampling_mask — the same pure function of
-/// (seed, round, q, edge) the in-memory SamplingEngine sweeps), emitting
-/// (sparsifier q, edge index) pairs; reducer q collects sparsifier q's
-/// support. Returns the t supports, each ascending — bitwise identical to
-/// SamplingEngine::draw / draw_stream_mapped on the same (prob, t, round,
-/// seed).
-///
-/// `meter` (typically the simulator's) is charged one pass (the mappers
-/// collectively read the input once) and the stored incidences, mirroring
-/// the in-memory engine's accounting; the simulator itself meters the round
-/// and the shuffle volume.
-std::vector<std::vector<std::uint32_t>> sample_round(
-    Simulator& sim, const std::vector<double>& prob, std::size_t t,
-    std::uint64_t round, std::uint64_t seed, ResourceMeter* meter = nullptr);
-
 }  // namespace dp::mapreduce

@@ -1,11 +1,6 @@
 #include "sparsify/cut_sparsifier.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
-
-#include "sparsify/strength.hpp"
-#include "util/rng.hpp"
+#include "sparsify/deferred.hpp"
 
 namespace dp {
 
@@ -15,45 +10,18 @@ std::vector<SparsifiedEdge> cut_sparsify(std::size_t n,
                                          const SparsifierOptions& options,
                                          std::uint64_t seed,
                                          ResourceMeter* meter) {
-  std::vector<SparsifiedEdge> kept;
-  if (edges.empty() || n == 0) return kept;
-
-  // Split into geometric weight classes.
-  std::map<int, std::vector<std::size_t>> classes;
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (!(weight[e] > 0)) continue;
-    const int cls = static_cast<int>(std::floor(std::log2(weight[e])));
-    classes[cls].push_back(e);
-  }
-
-  Rng rng(seed);
-  const double log_n = std::log(static_cast<double>(std::max<std::size_t>(
-      n, 3)));
-  const double rho =
-      options.sampling_constant * log_n / (options.xi * options.xi);
-
-  for (const auto& [cls, members] : classes) {
-    // Per-class strength on the class subgraph (treated as unweighted:
-    // weights within a class differ by < 2x which the constant absorbs).
-    std::vector<Edge> class_edges;
-    class_edges.reserve(members.size());
-    for (std::size_t e : members) class_edges.push_back(edges[e]);
-    const std::vector<double> strength = estimate_strengths(
-        n, class_edges, rng.next(), options.forests_per_level);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const std::size_t e = members[i];
-      const double p = std::min(1.0, rho / strength[i]);
-      if (p >= 1.0 || rng.bernoulli(p)) {
-        kept.push_back(SparsifiedEdge{e, weight[e] / p});
-      }
-    }
-  }
-  std::sort(kept.begin(), kept.end(),
-            [](const SparsifiedEdge& a, const SparsifiedEdge& b) {
-              return a.index < b.index;
-            });
-  if (meter != nullptr) meter->add_stored_edges(kept.size());
-  return kept;
+  if (edges.empty() || n == 0) return {};
+  // Exact weights are a promise with no distortion: gamma = 1 leaves
+  // rho = C log n / xi^2, and the per-class strengths treat each class
+  // as unweighted (weights within a class differ by < 2x, which the
+  // constant absorbs).
+  DeferredOptions deferred;
+  deferred.xi = options.xi;
+  deferred.gamma = 1.0;
+  deferred.sampling_constant = options.sampling_constant;
+  const DeferredSparsifier sample(n, edges, weight, deferred, seed);
+  if (meter != nullptr) meter->add_stored_edges(sample.size());
+  return sample.refine_from_full(weight);
 }
 
 std::vector<SparsifiedEdge> cut_sparsify(const Graph& g,

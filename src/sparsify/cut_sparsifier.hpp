@@ -7,6 +7,10 @@
 // sparsifiers is a sparsifier of the whole graph (Lemma 17's splitting
 // argument). The sampled edge keeps weight w_e / p_e, so every cut is
 // preserved in expectation and within 1 +- xi whp.
+//
+// This is the deferred sparsifier (sparsify/deferred) with exact promises:
+// deferred_probabilities at gamma = 1, one t = 1 sampling_mask draw, then
+// the refinement by the same weights.
 
 #include <cstdint>
 #include <vector>
@@ -28,13 +32,12 @@ struct SparsifierOptions {
   double xi = 0.1;
   /// Oversampling constant C in p_e = min(1, C log n / (xi^2 strength_e)).
   double sampling_constant = 12.0;
-  /// Forests per subsampling level for strength estimation (0 = auto).
-  int forests_per_level = 0;
 };
 
 /// Sparsify (n, edges) with per-edge weights `weight` (must be positive for
-/// retained edges; zero-weight edges are dropped). Returns retained edges;
-/// charges `meter` (if given) with the stored edge count.
+/// retained edges; zero-weight edges are dropped). Returns retained edges in
+/// ascending index order; charges `meter` (if given) with the stored edge
+/// count.
 std::vector<SparsifiedEdge> cut_sparsify(std::size_t n,
                                          const std::vector<Edge>& edges,
                                          const std::vector<double>& weight,

@@ -69,9 +69,10 @@ void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
   prob.assign(num_edges, 0.0);
   if (num_edges == 0 || n == 0) return;
 
-  // Same per-class scheme as cut_sparsify, but probabilities computed from
-  // the promise weights and inflated by gamma^2 (Lemma 17: p' computed from
-  // sigma times O(chi^2) dominates the exact-weight probability).
+  // Per weight class: strength-based probabilities computed from the
+  // promise weights and inflated by gamma^2 (Lemma 17: p' computed from
+  // sigma times O(chi^2) dominates the exact-weight probability; gamma = 1
+  // is the plain cut sparsifier).
   //
   // Classes group by a stable counting pass over the class range instead of
   // a std::map of vectors (group_weight_classes).
@@ -91,9 +92,7 @@ void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
            (scratch.class_keys[hi] >> 32) == cls_bits) {
       ++hi;
     }
-    // Gather the class subgraph through the batched fetch (the vector
-    // overload's fetch is a plain indexed copy, so this path is bitwise
-    // identical to indexing the edges directly).
+    // Gather the class subgraph through the batched fetch.
     scratch.class_members.clear();
     scratch.class_members.reserve(hi - lo);
     for (std::size_t i = lo; i < hi; ++i) {
@@ -115,30 +114,20 @@ void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
   }
 }
 
-void deferred_probabilities_into(std::size_t n, const std::vector<Edge>& edges,
-                                 const std::vector<double>& promise,
-                                 const DeferredOptions& options,
-                                 std::uint64_t seed,
-                                 std::vector<double>& prob,
-                                 DeferredScratch& scratch, ThreadPool* pool) {
-  const Edge* base = edges.data();
-  deferred_probabilities_into(
-      n, edges.size(),
-      [base](const std::uint32_t* idxs, std::size_t count, Edge* out) {
-        for (std::size_t i = 0; i < count; ++i) out[i] = base[idxs[i]];
-      },
-      promise, options, seed, prob, scratch, pool);
-}
-
 std::vector<double> deferred_probabilities(std::size_t n,
                                            const std::vector<Edge>& edges,
                                            const std::vector<double>& promise,
                                            const DeferredOptions& options,
                                            std::uint64_t seed) {
+  const Edge* base = edges.data();
   std::vector<double> prob;
   DeferredScratch scratch;
-  deferred_probabilities_into(n, edges, promise, options, seed, prob,
-                              scratch);
+  deferred_probabilities_into(
+      n, edges.size(),
+      [base](const std::uint32_t* idxs, std::size_t count, Edge* out) {
+        for (std::size_t i = 0; i < count; ++i) out[i] = base[idxs[i]];
+      },
+      promise, options, seed, prob, scratch);
   return prob;
 }
 
@@ -148,12 +137,11 @@ DeferredSparsifier::DeferredSparsifier(std::size_t n,
                                        const DeferredOptions& options,
                                        std::uint64_t seed,
                                        ResourceMeter* meter) {
-  Rng rng(seed);
   const std::vector<double> prob =
-      deferred_probabilities(n, edges, promise, options, rng.next());
+      deferred_probabilities(n, edges, promise, options, seed);
+  const CounterRng round_rng = sampling_round_rng(seed, 0);
   for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (prob[e] <= 0) continue;
-    if (prob[e] >= 1.0 || rng.bernoulli(prob[e])) {
+    if (sampling_mask(round_rng, 1, e, prob[e]) != 0) {
       stored_.push_back(e);
       prob_.push_back(prob[e]);
     }

@@ -23,6 +23,7 @@
 #include "sparsify/cut_sparsifier.hpp"
 #include "sparsify/strength.hpp"
 #include "util/accounting.hpp"
+#include "util/rng.hpp"
 
 namespace dp {
 
@@ -35,7 +36,6 @@ struct DeferredOptions {
   double gamma = 1.5;
   /// Oversampling constant (multiplies the gamma^2 factor).
   double sampling_constant = 12.0;
-  int forests_per_level = 0;
 };
 
 /// Reusable buffers for deferred_probabilities_into: weight-class grouping
@@ -58,32 +58,6 @@ struct DeferredScratch {
 void group_weight_classes(const std::vector<double>& promise,
                           DeferredScratch& scratch);
 
-/// Per-edge inclusion probabilities for a deferred sparsifier built from
-/// promise weights (strength estimation + gamma^2 oversampling). Exposed so
-/// a caller constructing MANY independent sparsifiers from the SAME promise
-/// vector (the t per-round structures of Theorem 1) can amortize the
-/// strength computation and then draw cheap Bernoulli samples.
-std::vector<double> deferred_probabilities(std::size_t n,
-                                           const std::vector<Edge>& edges,
-                                           const std::vector<double>& promise,
-                                           const DeferredOptions& options,
-                                           std::uint64_t seed);
-
-/// The sampling engine's path: same probabilities as above, computed into a
-/// caller-owned vector with all working memory in `scratch` (steady-state
-/// rounds allocate nothing). Weight classes group by one counting pass
-/// (group_weight_classes), per-class seeds are counter-based (a pure
-/// function of (seed, class)), and the strength estimation inside each
-/// class runs its per-level jobs on `pool` — so the output is bitwise
-/// identical for any thread count.
-void deferred_probabilities_into(std::size_t n, const std::vector<Edge>& edges,
-                                 const std::vector<double>& promise,
-                                 const DeferredOptions& options,
-                                 std::uint64_t seed,
-                                 std::vector<double>& prob,
-                                 DeferredScratch& scratch,
-                                 ThreadPool* pool = nullptr);
-
 /// Batched edge-record fetch: fill out[0..count) with the records of the
 /// given edge indices. The access layer's Substrate::fetch_edges matches
 /// this shape, so the probability stage can run against a backend with NO
@@ -91,11 +65,15 @@ void deferred_probabilities_into(std::size_t n, const std::vector<Edge>& edges,
 using DeferredEdgeFetch = std::function<void(
     const std::uint32_t* idxs, std::size_t count, Edge* out)>;
 
-/// Fetch-based variant of deferred_probabilities_into: identical math and
-/// draws (the per-class subgraphs are gathered through `fetch` instead of
-/// indexed out of a vector), so the output is bitwise identical to the
-/// vector overload on the same (promise, options, seed). `num_edges` is
-/// the index-space size (== promise.size()).
+/// Per-edge inclusion probabilities for a deferred sparsifier built from
+/// promise weights (strength estimation + gamma^2 oversampling), computed
+/// into a caller-owned vector with all working memory in `scratch`
+/// (steady-state rounds allocate nothing). Weight classes group by one
+/// counting pass (group_weight_classes), each class subgraph is gathered
+/// through `fetch`, per-class seeds are counter-based (a pure function of
+/// (seed, class)), and the strength estimation inside each class runs its
+/// per-level jobs on `pool` — so the output is bitwise identical for any
+/// thread count. `num_edges` is the index-space size (== promise.size()).
 void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
                                  const DeferredEdgeFetch& fetch,
                                  const std::vector<double>& promise,
@@ -105,10 +83,68 @@ void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
                                  DeferredScratch& scratch,
                                  ThreadPool* pool = nullptr);
 
+/// Allocating convenience over an in-memory edge vector. A caller drawing
+/// MANY independent sparsifiers from the SAME promise vector (the t
+/// per-round structures of Theorem 1) computes the probabilities once and
+/// then draws cheap sampling_mask bits.
+std::vector<double> deferred_probabilities(std::size_t n,
+                                           const std::vector<Edge>& edges,
+                                           const std::vector<double>& promise,
+                                           const DeferredOptions& options,
+                                           std::uint64_t seed);
+
+/// The per-round draw stream: callers fork once per round and pass the
+/// forked stream to sampling_mask, which then hashes only the edge index.
+inline CounterRng sampling_round_rng(std::uint64_t seed,
+                                     std::uint64_t round) noexcept {
+  return CounterRng(seed).fork(round);
+}
+
+/// Inclusion mask of edge `idx` for one round: bit q is set iff the edge
+/// belongs to sparsifier q (q < t <= 32). A pure function of
+/// (seed, round, q, idx) — `round_rng` must come from sampling_round_rng —
+/// which is the ONE sparsifier draw of the library: the offline and
+/// deferred sparsifiers (t = 1) and every access substrate (in-memory
+/// sweep, streaming pass, MapReduce mapper) evaluate it, so the
+/// substrates' stored sets are bitwise identical. The Bernoulli compare
+/// happens in the integer domain (threshold = p * 2^64, computed once per
+/// edge), so the per-sparsifier draw is one mix + one compare, branchless.
+inline std::uint32_t sampling_mask(const CounterRng& round_rng, std::size_t t,
+                                   std::uint64_t idx, double p) noexcept {
+  if (!(p > 0.0) || t == 0) return 0;
+  const std::uint32_t full =
+      t >= 32 ? ~std::uint32_t{0}
+              : (std::uint32_t{1} << t) - std::uint32_t{1};
+  if (p >= 1.0) return full;
+  const auto threshold = static_cast<std::uint64_t>(p * 0x1.0p64);
+  const std::uint64_t base = round_rng.bits(idx);
+  std::uint32_t mask = 0;
+  // Unrolled by hand: t is a runtime value, and without the unroll the
+  // compiler chains the (independent) per-q mixes instead of pipelining
+  // them — worth ~1.7x on the fractional-probability sweep.
+  std::size_t q = 0;
+  for (; q + 4 <= t; q += 4) {
+    mask |= static_cast<std::uint32_t>(mix_combine(base, q) < threshold)
+            << q;
+    mask |= static_cast<std::uint32_t>(mix_combine(base, q + 1) < threshold)
+            << (q + 1);
+    mask |= static_cast<std::uint32_t>(mix_combine(base, q + 2) < threshold)
+            << (q + 2);
+    mask |= static_cast<std::uint32_t>(mix_combine(base, q + 3) < threshold)
+            << (q + 3);
+  }
+  for (; q < t; ++q) {
+    mask |= static_cast<std::uint32_t>(mix_combine(base, q) < threshold)
+            << q;
+  }
+  return mask;
+}
+
 class DeferredSparsifier {
  public:
-  /// Sample-and-store phase: only `promise` (sigma) values are consulted.
-  /// Charges `meter` one adaptive round and the stored edge count.
+  /// Sample-and-store phase: only `promise` (sigma) values are consulted,
+  /// and the store is one t = 1 sampling_mask draw. Charges `meter` one
+  /// adaptive round and the stored edge count.
   DeferredSparsifier(std::size_t n, const std::vector<Edge>& edges,
                      const std::vector<double>& promise,
                      const DeferredOptions& options, std::uint64_t seed,

@@ -65,7 +65,9 @@ TEST_P(SeedSweep, WeightOrderingInvariants) {
 TEST_P(SeedSweep, StrengthsAtLeastOneAndBridgesWeak) {
   const std::uint64_t seed = GetParam();
   const Graph g = gen::gnm(40, 160, seed + 2000);
-  const auto strengths = estimate_strengths(40, g.edges(), seed);
+  std::vector<double> strengths;
+  StrengthScratch scratch;
+  estimate_strengths_into(40, g.edges(), seed, strengths, scratch);
   for (double s : strengths) EXPECT_GE(s, 1.0);
 }
 

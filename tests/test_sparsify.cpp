@@ -33,7 +33,9 @@ TEST(Strength, BridgeIsWeakCliqueIsStrong) {
     }
   }
   g.add_edge(0, 8);  // bridge, last edge
-  const auto strength = estimate_strengths(16, g.edges(), 5);
+  std::vector<double> strength;
+  StrengthScratch scratch;
+  estimate_strengths_into(16, g.edges(), 5, strength, scratch);
   const double bridge = strength.back();
   double clique_avg = 0;
   for (std::size_t e = 0; e + 1 < strength.size(); ++e) {
@@ -283,8 +285,12 @@ TEST(Deferred, ProbabilitiesThreadCountInvariantAndScratchReusable) {
   for (std::size_t threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     for (int repeat = 0; repeat < 2; ++repeat) {  // scratch reuse
-      deferred_probabilities_into(g.num_vertices(), g.edges(), promise, opt,
-                                  11, prob, scratch, &pool);
+      deferred_probabilities_into(
+          g.num_vertices(), g.num_edges(),
+          [&g](const std::uint32_t* idxs, std::size_t count, Edge* out) {
+            for (std::size_t i = 0; i < count; ++i) out[i] = g.edge(idxs[i]);
+          },
+          promise, opt, 11, prob, scratch, &pool);
       EXPECT_EQ(prob, reference) << "threads " << threads;
     }
   }

@@ -3,16 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
-#include <numeric>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "access/in_memory.hpp"
+#include "access/mapreduce.hpp"
+#include "access/streaming.hpp"
 #include "core/sampling.hpp"
+#include "core/weight_levels.hpp"
 #include "graph/generators.hpp"
 #include "mapreduce/mapreduce.hpp"
 #include "sparsify/deferred.hpp"
+#include "stream/edge_file.hpp"
 #include "stream/edge_stream.hpp"
 #include "util/thread_pool.hpp"
 
@@ -139,19 +146,20 @@ TEST(EdgeStream, IndexedPassesYieldMatchingIds) {
 
 // ---- Batched sampling rounds across substrates (core/sampling). ----
 
-std::vector<double> sampling_probabilities(const Graph& g) {
-  std::vector<double> promise(g.num_edges(), 1.0);
+std::vector<double> sampling_probabilities(std::size_t n,
+                                           const std::vector<Edge>& edges) {
+  std::vector<double> promise(edges.size(), 1.0);
   DeferredOptions dopt;
   dopt.xi = 0.5;
   dopt.gamma = 1.5;
   dopt.sampling_constant = 0.05;
-  return deferred_probabilities(g.num_vertices(), g.edges(), promise, dopt,
-                                123);
+  return deferred_probabilities(n, edges, promise, dopt, 123);
 }
 
 TEST(SamplingEngine, ThreadCountInvariantDraws) {
   const Graph g = gen::gnm(60, 800, 7);
-  const std::vector<double> prob = sampling_probabilities(g);
+  const std::vector<double> prob =
+      sampling_probabilities(g.num_vertices(), g.edges());
   const std::size_t t = 5;
   core::SamplingEngine serial;
   serial.draw(prob, t, 3, 99);
@@ -171,66 +179,88 @@ TEST(SamplingEngine, ThreadCountInvariantDraws) {
   }
 }
 
-TEST(SamplingEngine, StreamDrawMatchesInMemoryAndMetersPass) {
+// One round drawn through every access substrate bound to one graph: the
+// in-memory sweep, the streaming pass (graph and DPEF file sources) and
+// the MapReduce round (plain and round-compressed) must store the same
+// masks, while each substrate meters its own model.
+TEST(SubstrateDraw, SameRoundsOnEverySubstrateEachMeteringItsModel) {
   const Graph g = gen::gnm(50, 600, 8);
-  const std::vector<double> prob = sampling_probabilities(g);
+  const core::LevelGraph lg(g, Capacities::unit(g.num_vertices()), 0.2);
+  std::vector<Edge> retained;
+  for (const EdgeId e : lg.retained()) retained.push_back(g.edge(e));
+  const std::vector<double> prob =
+      sampling_probabilities(g.num_vertices(), retained);
   const std::size_t t = 4;
+  const std::uint64_t seed = 55;
 
-  core::SamplingEngine memory_engine;
-  ResourceMeter memory_meter;
-  memory_engine.draw(prob, t, 2, 55, &memory_meter);
+  const std::string path = ::testing::TempDir() + "substrate_draw.dpef";
+  stream::write_edge_file(path, g, /*block_edges=*/64);
+  access::InMemorySubstrate in_memory;
+  access::StreamingSubstrate streaming;
+  access::StreamingSubstrate file_streaming;
+  file_streaming.attach_source(
+      stream::EdgeSource(std::make_shared<stream::EdgeFileStream>(path)));
+  access::MapReduceSubstrate::Config plain_config;
+  plain_config.threads = 2;
+  access::MapReduceSubstrate map_reduce(plain_config);
+  access::MapReduceSubstrate::Config batch_config = plain_config;
+  batch_config.round_compression = 3;
+  access::MapReduceSubstrate compressed(batch_config);
+  access::Substrate* const substrates[] = {&in_memory, &streaming,
+                                           &file_streaming, &map_reduce,
+                                           &compressed};
 
-  // Identity position map (every stream position is its own retained
-  // index) and a shuffled arrival order: the masks depend only on the
-  // index, so the order cannot change the stored sets.
-  std::vector<std::uint32_t> retained_of(g.num_edges());
-  std::iota(retained_of.begin(), retained_of.end(), 0u);
-  ResourceMeter stream_meter;
-  EdgeStream stream(g, &stream_meter);
-  core::SamplingEngine stream_engine;
-  stream_engine.draw_stream_mapped(stream, retained_of, 0x5eed, prob, t, 2,
-                                   55);
+  struct Drawn {
+    std::vector<std::uint32_t> masks;
+    std::vector<std::uint32_t> union_support;
+    std::size_t stored_total;
+  };
+  ThreadPool pool(2);
+  std::vector<Drawn> reference;
+  for (access::Substrate* sub : substrates) {
+    SCOPED_TRACE(std::string(sub->name()) +
+                 (sub->source().file_backed() ? " (file)" : ""));
+    sub->bind(g, lg, &pool, /*grain=*/64);
+    // Two round iterations: opening sweep, draw, then release the store.
+    std::vector<Drawn> drawn;
+    std::size_t peak = 0;
+    for (const std::uint64_t round : {2, 3}) {
+      sub->multiplier_sweep(
+          [](std::size_t, std::size_t, const access::RetainedEdge*) {});
+      const core::SamplingRound& r = sub->draw(prob, t, round, seed);
+      ASSERT_EQ(r.num_sparsifiers(), t);
+      drawn.push_back({r.masks(), r.union_support(), r.stored_total()});
+      EXPECT_EQ(sub->meter().stored_edges(), r.stored_total());
+      peak = std::max(peak, r.stored_total());
+      sub->release_stored(r.stored_total());
+    }
+    if (reference.empty()) reference = drawn;
+    for (std::size_t i = 0; i < drawn.size(); ++i) {
+      EXPECT_EQ(drawn[i].masks, reference[i].masks) << "draw " << i;
+      EXPECT_EQ(drawn[i].union_support, reference[i].union_support)
+          << "draw " << i;
+      EXPECT_EQ(drawn[i].stored_total, reference[i].stored_total)
+          << "draw " << i;
+    }
+    EXPECT_GT(drawn[0].stored_total, 0u);
+    EXPECT_NE(drawn[0].masks, drawn[1].masks);  // rounds draw independently
+    EXPECT_EQ(sub->meter().peak_edges(), peak);
+    EXPECT_EQ(sub->meter().stored_edges(), 0u);
 
-  EXPECT_EQ(stream_engine.last_round().masks(),
-            memory_engine.last_round().masks());
-  EXPECT_EQ(stream_engine.last_round().union_support(),
-            memory_engine.last_round().union_support());
-  EXPECT_EQ(stream_engine.last_round().stored_total(),
-            memory_engine.last_round().stored_total());
-  // draw() meters one round, one pass and the stored incidences; the
-  // streaming draw is one pass over the stream (its caller books the
-  // round and the store).
-  EXPECT_EQ(memory_meter.rounds(), 1u);
-  EXPECT_EQ(memory_meter.passes(), 1u);
-  EXPECT_EQ(memory_meter.stored_edges(),
-            memory_engine.last_round().stored_total());
-  EXPECT_EQ(stream_meter.passes(), 1u);
-}
-
-TEST(SamplingEngine, MapReduceRoundMatchesEngine) {
-  const Graph g = gen::gnm(40, 500, 9);
-  const std::vector<double> prob = sampling_probabilities(g);
-  const std::size_t t = 6;
-
-  core::SamplingEngine engine;
-  engine.draw(prob, t, 4, 123);
-
-  mapreduce::Config config;
-  config.machines = 8;
-  ResourceMeter meter;
-  mapreduce::Simulator sim(config, &meter);
-  const auto supports = mapreduce::sample_round(sim, prob, t, 4, 123, &meter);
-
-  ASSERT_EQ(supports.size(), t);
-  std::size_t stored_total = 0;
-  for (std::size_t q = 0; q < t; ++q) {
-    EXPECT_EQ(supports[q], engine.last_round().sparsifier(q)) << "q=" << q;
-    stored_total += supports[q].size();
+    // In memory: one round and one pass per draw. Streaming: one pass per
+    // round iteration (the sweep's; the draw re-walks it) and one round
+    // per draw. MapReduce: one simulator round (its mappers' pass) per
+    // draw, or one per batch of three under round compression, with the
+    // second draw served from the batch.
+    const bool batched = sub == &compressed;
+    EXPECT_EQ(sub->meter().rounds(), batched ? 1u : 2u);
+    EXPECT_EQ(sub->meter().passes(), batched ? 1u : 2u);
+    EXPECT_EQ(sub->meter().saved_rounds(), batched ? 1u : 0u);
+    EXPECT_EQ(sub->meter().saved_passes(), batched ? 1u : 0u);
   }
-  EXPECT_EQ(stored_total, engine.last_round().stored_total());
-  EXPECT_EQ(meter.rounds(), 1u);
-  EXPECT_EQ(meter.passes(), 1u);
-  EXPECT_EQ(meter.stored_edges(), stored_total);
+  EXPECT_EQ(map_reduce.simulator_rounds(), 2u);
+  EXPECT_EQ(compressed.simulator_rounds(), 1u);
+  EXPECT_GT(map_reduce.meter().messages(), 0u);
 }
 
 TEST(SamplingEngine, SaturatedAndZeroProbabilities) {

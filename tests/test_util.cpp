@@ -67,11 +67,12 @@ TEST(Rng, UniformRealInUnitInterval) {
 }
 
 TEST(Rng, CoinFlipsGeometric) {
-  Rng rng(5);
+  const CounterRng rng(5);
   std::vector<int> counts(4, 0);
   const int trials = 40000;
   for (int i = 0; i < trials; ++i) {
-    const int flips = rng.coin_flips_until_tail();
+    const int flips =
+        rng.coin_flips_until_tail(static_cast<std::uint64_t>(i), 0);
     if (flips < 4) ++counts[flips];
   }
   // P(flips = k) = 2^-(k+1).
