@@ -17,7 +17,9 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -28,6 +30,8 @@
 #include "graph/generators.hpp"
 #include "graph/gomory_hu.hpp"
 #include "matching/greedy.hpp"
+#include "reference_kernels.hpp"
+#include "sparsify/strength.hpp"
 #include "util/dense_key_set.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -100,6 +104,146 @@ Measurement time_lagrangian(const Oracle& oracle, const Workload& w,
   return m;
 }
 
+/// Seconds per rep of `base` and of `fast`, each the fastest of `blocks`
+/// blocks of `reps` reps, the two sides alternating block by block: a
+/// host-load burst then slows one block of each side rather than one
+/// whole side, and the minimum drops it.
+template <typename Base, typename Fast>
+std::pair<double, double> best_block_seconds(std::size_t blocks,
+                                             std::size_t reps,
+                                             const Base& base,
+                                             const Fast& fast) {
+  double base_s = 1e300;
+  double fast_s = 1e300;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    WallTimer t_base;
+    for (std::size_t r = 0; r < reps; ++r) base();
+    base_s = std::min(base_s, t_base.seconds() / static_cast<double>(reps));
+    WallTimer t_fast;
+    for (std::size_t r = 0; r < reps; ++r) fast();
+    fast_s = std::min(fast_s, t_fast.seconds() / static_cast<double>(reps));
+  }
+  return {base_s, fast_s};
+}
+
+/// Kernel rows 6 and 7 (see bench_kernels) on the dense_mem-shaped
+/// instance. A function of its own, so adding rows here leaves the code
+/// generated for the earlier rows' timed loops alone.
+[[gnu::noinline]] void bench_table_and_packer(bool quick, Rng& rng,
+                                              const Graph& dense,
+                                              const LevelGraph& dense_lg,
+                                              bench::BenchReport& report,
+                                              double& sink) {
+  const std::size_t sort_n = dense.num_vertices();
+  // ---- Kernel 6: the stored-row table of one inner iteration, stored
+  // edges/sec: a third of the dense instance's retained edges, us in a
+  // realistic range. The fast side includes filling the table's sample. ----
+  {
+    const std::size_t blocks = 7;
+    const std::size_t reps = quick ? 8 : 24;
+    std::vector<StoredEdge> sample;
+    for (const EdgeId e : dense_lg.retained()) {
+      if (rng.uniform(8) >= 3) continue;
+      const Edge& edge = dense.edge(e);
+      sample.push_back(StoredEdge{edge.u, edge.v, dense_lg.level(e),
+                                  0.1 + 2.0 * rng.uniform_real()});
+    }
+    bench_ref::LsdScratch lsd_scratch;
+    bench_ref::GroupedRows grouped;
+    StoredRows rows(dense_lg);
+    auto run_table = [&] {
+      const std::span<StoredEdge> dst = rows.sample(sample.size());
+      std::copy(sample.begin(), sample.end(), dst.begin());
+      rows.build();
+    };
+    bench_ref::lsd_group_rows(dense_lg, sample, lsd_scratch, grouped);
+    run_table();
+    const double table_usc = rows.usc();
+    if (rows.keys() != grouped.keys ||
+        std::memcmp(rows.sums().data(), grouped.sums.data(),
+                    grouped.sums.size() * sizeof(double)) != 0 ||
+        std::memcmp(&grouped.usc, &table_usc, sizeof(double)) != 0) {
+      std::fprintf(stderr,
+                   "FATAL: stored-row table differs from the LSD grouping\n");
+      std::exit(1);
+    }
+    const auto [lsd_s, table_s] = best_block_seconds(
+        blocks, reps,
+        [&] {
+          bench_ref::lsd_group_rows(dense_lg, sample, lsd_scratch, grouped);
+          sink += grouped.usc;
+        },
+        [&] {
+          run_table();
+          sink += rows.usc();
+        });
+    const auto edges = static_cast<double>(sample.size());
+    const double base_rate = edges / lsd_s;
+    const double fast_rate = edges / table_s;
+    std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx  (rows %zu)\n",
+                "row_table", sample.size(), blocks * reps, base_rate,
+                fast_rate, fast_rate / base_rate, rows.keys().size());
+    report.add({6.0, static_cast<double>(sample.size()),
+                static_cast<double>(blocks * reps), base_rate, fast_rate,
+                fast_rate / base_rate});
+  }
+
+  // ---- Kernel 7: forest packing, edges/sec: one 30k-edge weight class of
+  // the dense instance packed as strength estimation's level 0 (all edges,
+  // ascending), both packers reusing their forests across reps. ----
+  {
+    const std::size_t blocks = 7;
+    const std::size_t reps = quick ? 4 : 12;
+    std::vector<Edge> cls;
+    for (const Edge& edge : dense.edges()) {
+      if (rng.uniform(3) == 0) cls.push_back(edge);
+    }
+    bench_ref::UnionFindPacker uf_packer(sort_n);
+    detail::ForestPacker label_packer(sort_n);
+    std::vector<std::size_t> uf_place(cls.size());
+    std::vector<std::size_t> label_place(cls.size());
+    auto run_uf = [&] {
+      uf_packer.reset(sort_n);
+      for (std::size_t e = 0; e < cls.size(); ++e) {
+        uf_place[e] = uf_packer.insert(cls[e].u, cls[e].v);
+      }
+    };
+    auto run_label = [&] {
+      label_packer.reset(sort_n);
+      for (std::size_t e = 0; e < cls.size(); ++e) {
+        label_place[e] = label_packer.insert(cls[e].u, cls[e].v);
+      }
+    };
+    run_uf();
+    run_label();
+    if (uf_place != label_place) {
+      std::fprintf(stderr,
+                   "FATAL: label packer placements differ from union-find\n");
+      std::exit(1);
+    }
+    const auto [uf_s, label_s] = best_block_seconds(
+        blocks, reps,
+        [&] {
+          run_uf();
+          sink += static_cast<double>(uf_place.back());
+        },
+        [&] {
+          run_label();
+          sink += static_cast<double>(label_place.back());
+        });
+    const auto edges = static_cast<double>(cls.size());
+    const double base_rate = edges / uf_s;
+    const double fast_rate = edges / label_s;
+    std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx  (forests %zu)\n",
+                "forest_pack", cls.size(), blocks * reps, base_rate,
+                fast_rate, fast_rate / base_rate,
+                *std::max_element(label_place.begin(), label_place.end()));
+    report.add({7.0, static_cast<double>(cls.size()),
+                static_cast<double>(blocks * reps), base_rate, fast_rate,
+                fast_rate / base_rate});
+  }
+}
+
 /// Isolated hot-kernel rows (BENCH_micro_kernels.json): each row pits the
 /// baseline kernel against the optimized one in the same binary on the same
 /// buffers, so the tracked speedup is machine-relative. Kernel ids:
@@ -110,16 +254,22 @@ Measurement time_lagrangian(const Oracle& oracle, const Workload& w,
 /// loops vs the clones-dispatched fill_scaled_shift + divide_max_positive
 /// with the bit-pattern integer max reduction; bitwise-equality asserted
 /// before timing), 4 = zeta row grouping (std::sort + std::unique of the
-/// packed (vertex, level) keys vs the DenseKeySet bitmap drain), 5 =
+/// packed (vertex, level) keys vs the DenseKeySet bitmap listing), 5 =
 /// offline weight order of a stored union (std::stable_sort of the
 /// subgraph's ids by weight vs WeightOrder::restrict_to of the per-solve
-/// order). Rows 4 and 5 assert identical output before timing.
+/// order), 6 = the oracle's stored-row table on the dense_mem shape (the
+/// former two-pass LSD grouping vs StoredRows::build), 7 = level-0 forest
+/// packing of one n = 500 weight class (union-find forests vs the label
+/// packer). Rows 4-7 assert identical output before timing; the reference
+/// kernels of rows 6 and 7 live in bench/reference_kernels.hpp, and those
+/// two rows time alternating blocks and keep each side's fastest.
 void bench_kernels(bool quick) {
   bench::header("micro kernels (hot-path round 2)",
                 "isolated kernel speedups: vectorized exp batch, SIMD-ized "
                 "multiplier sweep, incremental Gusfield after contraction, "
                 "clones-dispatched fill/divide-max sweep body, sort-free "
-                "zeta rows and offline weight order");
+                "zeta rows and offline weight order, stored-row table, "
+                "label forest packer");
   bench::BenchReport report("micro_kernels",
                             {"kernel", "n", "reps", "base_per_sec",
                              "fast_per_sec", "speedup"});
@@ -408,7 +558,7 @@ void bench_kernels(bool quick) {
     }
     const std::uint64_t universe = sort_n * levels;
     std::vector<std::uint64_t> sorted;
-    std::vector<std::uint64_t> drained;
+    std::vector<std::uint64_t> listed;
     DenseKeySet set;
     auto run_sort = [&] {
       sorted = keys;
@@ -418,11 +568,11 @@ void bench_kernels(bool quick) {
     auto run_set = [&] {
       set.reset(universe);
       for (const std::uint64_t k : keys) set.insert(k);
-      set.drain_sorted(drained);
+      set.index_sorted(listed);
     };
     run_sort();
     run_set();
-    if (sorted != drained) {
+    if (sorted != listed) {
       std::fprintf(stderr,
                    "FATAL: DenseKeySet rows differ from sort + unique\n");
       std::exit(1);
@@ -436,7 +586,7 @@ void bench_kernels(bool quick) {
     WallTimer t_set;
     for (std::size_t r = 0; r < reps; ++r) {
       run_set();
-      sink += static_cast<double>(drained.size());
+      sink += static_cast<double>(listed.size());
     }
     const double set_s = t_set.seconds();
     const double total =
@@ -445,7 +595,7 @@ void bench_kernels(bool quick) {
     const double fast_rate = total / set_s;
     std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx  (rows %zu)\n",
                 "zeta_rows", keys.size(), reps, base_rate, fast_rate,
-                fast_rate / base_rate, drained.size());
+                fast_rate / base_rate, listed.size());
     report.add({4.0, static_cast<double>(keys.size()),
                 static_cast<double>(reps), base_rate, fast_rate,
                 fast_rate / base_rate});
@@ -504,6 +654,8 @@ void bench_kernels(bool quick) {
                 static_cast<double>(reps), base_rate, fast_rate,
                 fast_rate / base_rate});
   }
+
+  bench_table_and_packer(quick, rng, dense, dense_lg, report, sink);
   if (sink == 12345.6789) std::printf("sink %f\n", sink);
   std::printf("\n");
 }

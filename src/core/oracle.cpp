@@ -2,21 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace dp::core {
 
-/// Reusable flat scratch for one oracle instance. Dense buffers are sized
-/// n*L once and cleared in O(touched) between invocations; vectors keep
-/// their capacity across calls so the steady state allocates nothing.
+/// Reusable flat scratch for one oracle instance. Vectors keep their
+/// capacity across calls so the steady state allocates nothing; the
+/// n-sized buffers are cleared in O(touched) between invocations. The
+/// per-row us sums are not here: they come grouped in the caller's
+/// StoredRows table.
 struct MicroOracle::Scratch {
-  /// (key, us) per stored-edge endpoint, then grouped by vertex via a
-  /// stable counting sort — the cache-resident replacement for the dense
-  /// sum_us buffer (the count/offset arrays are n-sized, not n*L).
-  std::vector<std::pair<std::uint64_t, double>> pairs;
-  std::vector<std::pair<std::uint64_t, double>> grouped;
-  std::vector<std::size_t> voff;
-  std::vector<std::uint64_t> sum_keys;  // key-sorted distinct (i,k) rows
-  std::vector<double> sum_vals;         // summed us per row
   std::vector<std::uint64_t> pos_keys;  // sorted keys with A_i(k) > 0
   std::vector<double> pos_a;            // A_i(k) per pos entry
   std::vector<double> pos_sum;          // sum_us per pos entry (Step 9)
@@ -49,13 +44,53 @@ struct MicroOracle::Scratch {
     if (zsuffix.size() < n) {
       zsuffix.resize(n, 0.0);
       set_of.assign(n, -1);
-      voff.resize(n + 1, 0);
     }
     if (has_level.size() < static_cast<std::size_t>(levels)) {
       has_level.resize(static_cast<std::size_t>(levels), 0);
     }
   }
 };
+
+void StoredRows::build() {
+  const LevelGraph& lg = *lg_;
+  const auto L = static_cast<std::uint64_t>(lg.num_levels());
+  // One pass: keep the oracle's edges in stored order, fold usc, and mark
+  // both endpoints' rows.
+  row_set_.reset(static_cast<std::uint64_t>(lg.graph().num_vertices()) * L);
+  usc_ = 0;
+  std::size_t kept = 0;
+  for (const StoredEdge& e : edges_) {
+    if (e.level < 0 || e.us <= 0) continue;
+    edges_[kept++] = e;
+    usc_ += lg.level_weight(e.level) * e.us;
+    const auto k = static_cast<std::uint64_t>(e.level);
+    row_set_.insert(static_cast<std::uint64_t>(e.u) * L + k);
+    row_set_.insert(static_cast<std::uint64_t>(e.v) * L + k);
+  }
+  edges_.resize(kept);
+  // The bitmap lists the distinct rows ascending and ranks them; each
+  // row's sum then folds in encounter order from 0.0, the bits of the
+  // map path's insertion-order fold (every us is positive).
+  row_set_.index_sorted(keys_);
+  sums_.assign(keys_.size(), 0.0);
+  for (const StoredEdge& e : edges_) {
+    const auto k = static_cast<std::uint64_t>(e.level);
+    sums_[row_set_.index_of(static_cast<std::uint64_t>(e.u) * L + k)] += e.us;
+    sums_[row_set_.index_of(static_cast<std::uint64_t>(e.v) * L + k)] += e.us;
+  }
+}
+
+StoredRows stored_rows(const LevelGraph& lg,
+                       const std::vector<StoredMultiplier>& us) {
+  StoredRows rows(lg);
+  const std::span<StoredEdge> sample = rows.sample(us.size());
+  for (std::size_t i = 0; i < us.size(); ++i) {
+    const Edge& e = lg.graph().edge(us[i].edge);
+    sample[i] = StoredEdge{e.u, e.v, lg.level(us[i].edge), us[i].us};
+  }
+  rows.build();
+  return rows;
+}
 
 MicroOracle::MicroOracle(const LevelGraph& lg, const Capacities& b,
                          OracleConfig config)
@@ -190,70 +225,40 @@ double MicroOracle::weighted_qo(const ZetaMap& zeta) const {
 MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
                              const ZetaMap& zeta, double beta, double rho,
                              OddSetCache* cache) const {
+  return run(stored_rows(*lg_, us), zeta, beta, rho, cache);
+}
+
+MicroResult MicroOracle::run(const StoredRows& rows, const ZetaMap& zeta,
+                             double beta, double rho,
+                             OddSetCache* cache) const {
   const LevelGraph& lg = *lg_;
   const Capacities& b = *b_;
   const int L = lg.num_levels();
   const auto Lu = static_cast<std::uint64_t>(L);
   const double eps = lg.eps();
+  if (&rows.level_graph() != lg_) {
+    throw std::invalid_argument(
+        "MicroOracle::run: stored rows of another level graph");
+  }
   Scratch& s = scratch();
-  auto key = [Lu](Vertex i, int k) {
-    return static_cast<std::uint64_t>(i) * Lu + static_cast<std::uint64_t>(k);
-  };
+  const std::vector<StoredEdge>& stored = rows.edges();
+  const std::vector<std::uint64_t>& sum_keys = rows.keys();
+  const std::vector<double>& sum_vals = rows.sums();
 
   MicroResult result;
 
-  // ---- gamma and per-(i,k) us sums (Step 1). ----
-  // Rows are grouped by vertex with a stable counting sort over packed
-  // (i, k) keys instead of a hash map: the count/offset arrays are n-sized
-  // (cache resident), the per-vertex groups are tiny, and the stable order
-  // keeps every per-row sum bitwise identical to the map path's insertion
-  // order.
+  // ---- gamma (Step 1). ----
+  // The per-(i, k) us sums and usc = sum wHat_k us come grouped in the
+  // table, built once per inner iteration; a probe only subtracts the
+  // rho-dependent zeta term.
   const std::size_t n = lg.graph().num_vertices();
-  s.pairs.clear();
-  double gamma = 0;
-  for (const StoredMultiplier& sm : us) {
-    const Edge& e = lg.graph().edge(sm.edge);
-    const int k = lg.level(sm.edge);
-    if (k < 0 || sm.us <= 0) continue;
-    s.pairs.emplace_back(key(e.u, k), sm.us);
-    s.pairs.emplace_back(key(e.v, k), sm.us);
-    gamma += lg.level_weight(k) * sm.us;
-  }
+  double gamma = rows.usc();
   for (const auto& [kk, z] : zeta) {
     const int k = static_cast<int>(kk % Lu);
     gamma -= 3.0 * rho * lg.level_weight(k) * z;
   }
   result.gamma = gamma;
   if (gamma <= 0) return result;  // x = 0 satisfies LagInner trivially
-
-  // Two stable counting passes (LSD radix on the packed key's digits:
-  // level first, vertex second) leave s.grouped key-sorted with duplicate
-  // keys in their original encounter order; folding them then reproduces
-  // the map path's per-row sums bitwise.
-  {
-    std::vector<std::size_t>& koff = s.run_start;  // borrowed until Step 3
-    koff.assign(static_cast<std::size_t>(L) + 1, 0);
-    for (const auto& [kk, u_val] : s.pairs) ++koff[kk % Lu + 1];
-    for (int k = 0; k < L; ++k) koff[k + 1] += koff[k];
-    s.grouped.resize(s.pairs.size());
-    for (const auto& p : s.pairs) s.grouped[koff[p.first % Lu]++] = p;
-
-    std::fill(s.voff.begin(), s.voff.begin() + static_cast<long>(n) + 1, 0);
-    for (const auto& [kk, u_val] : s.grouped) ++s.voff[kk / Lu + 1];
-    for (std::size_t v = 0; v < n; ++v) s.voff[v + 1] += s.voff[v];
-    s.pairs.resize(s.grouped.size());
-    for (const auto& p : s.grouped) s.pairs[s.voff[p.first / Lu]++] = p;
-  }
-  s.sum_keys.clear();
-  s.sum_vals.clear();
-  for (const auto& [kk, u_val] : s.pairs) {
-    if (!s.sum_keys.empty() && s.sum_keys.back() == kk) {
-      s.sum_vals.back() += u_val;
-    } else {
-      s.sum_keys.push_back(kk);
-      s.sum_vals.push_back(u_val);
-    }
-  }
 
   // ---- Pos(i) and A_i(k) = sum_us - 2 rho zeta (Step 2). ----
   // Both supports are key-sorted: a single merge-join computes every A.
@@ -262,16 +267,16 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
   s.pos_sum.clear();
   {
     auto zit = zeta.begin();
-    for (std::size_t row = 0; row < s.sum_keys.size(); ++row) {
-      const std::uint64_t kk = s.sum_keys[row];
+    for (std::size_t row = 0; row < sum_keys.size(); ++row) {
+      const std::uint64_t kk = sum_keys[row];
       while (zit != zeta.end() && zit->first < kk) ++zit;
       const double zv =
           (zit != zeta.end() && zit->first == kk) ? zit->second : 0.0;
-      const double a = s.sum_vals[row] - 2.0 * rho * zv;
+      const double a = sum_vals[row] - 2.0 * rho * zv;
       if (a > 0) {
         s.pos_keys.push_back(kk);
         s.pos_a.push_back(a);
-        s.pos_sum.push_back(s.sum_vals[row]);
+        s.pos_sum.push_back(sum_vals[row]);
       }
     }
   }
@@ -442,10 +447,7 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
   std::vector<int> active_levels;
   {
     std::fill(s.has_level.begin(), s.has_level.end(), 0);
-    for (const StoredMultiplier& sm : us) {
-      const int k = lg.level(sm.edge);
-      if (k >= 0 && sm.us > 0) s.has_level[k] = 1;
-    }
+    for (const StoredEdge& e : stored) s.has_level[e.level] = 1;
     for (int k = L - 1; k >= 0; --k) {
       if (s.has_level[k]) active_levels.push_back(k);
     }
@@ -533,11 +535,9 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
       }
       std::vector<OddSetQueryEdge>& q_edges = s.job_q[jobs];
       q_edges.clear();
-      for (const StoredMultiplier& sm : us) {
-        const int k = lg.level(sm.edge);
-        if (k < l || sm.us <= 0) continue;
-        const Edge& e = lg.graph().edge(sm.edge);
-        q_edges.push_back(OddSetQueryEdge{e.u, e.v, q_scale * sm.us});
+      for (const StoredEdge& e : stored) {
+        if (e.level < l) continue;
+        q_edges.push_back(OddSetQueryEdge{e.u, e.v, q_scale * e.us});
       }
       if (q_edges.empty()) continue;
       // Separation reads q_hat only at this level's query-edge endpoints,
@@ -601,12 +601,10 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
           entry->bw[c] += b[v];
         }
       }
-      for (const StoredMultiplier& sm : us) {
-        const int k = lg.level(sm.edge);
-        if (k < l || sm.us <= 0) continue;
-        const Edge& e = lg.graph().edge(sm.edge);
+      for (const StoredEdge& e : stored) {
+        if (e.level < l) continue;
         const std::int32_t cu = s.set_of[e.u];
-        if (cu >= 0 && cu == s.set_of[e.v]) entry->us_mass[cu] += sm.us;
+        if (cu >= 0 && cu == s.set_of[e.v]) entry->us_mass[cu] += e.us;
       }
       for (std::size_t c = 0; c < nsets; ++c) {
         for (Vertex v : entry->sets[c]) s.set_of[v] = -1;
@@ -657,16 +655,18 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
 MicroResult MicroOracle::run_lagrangian(
     const std::vector<StoredMultiplier>& us, const ZetaMap& zeta, double beta,
     std::size_t* calls) const {
+  return run_lagrangian(stored_rows(*lg_, us), zeta, beta, calls);
+}
+
+MicroResult MicroOracle::run_lagrangian(const StoredRows& rows,
+                                        const ZetaMap& zeta, double beta,
+                                        std::size_t* calls) const {
   const LevelGraph& lg = *lg_;
-  double usc = 0;
-  for (const StoredMultiplier& sm : us) {
-    const int k = lg.level(sm.edge);
-    if (k >= 0 && sm.us > 0) usc += lg.level_weight(k) * sm.us;
-  }
+  const double usc = rows.usc();
   OddSetCache cache;  // one separation pass amortized over all rho probes
   auto invoke = [&](double rho) {
     if (calls != nullptr) ++(*calls);
-    return run(us, zeta, beta, rho, &cache);
+    return run(rows, zeta, beta, rho, &cache);
   };
 
   const double zq = weighted_qo(zeta);

@@ -16,8 +16,9 @@
 //
 // This is the solver's hot path. All dual variables live in flat
 // level-indexed buffers (core/flat_duals.hpp): dense scratch is reused
-// across invocations, per-vertex indexes come from sorting packed (i, k)
-// keys instead of hashing, and the per-vertex sweep plus the weighted_po
+// across invocations, the per-(i, k) us sums come from a StoredRows table
+// built once per inner iteration (packed (i, k) keys in a bitmap, no
+// hashing and no sort), and the per-vertex sweep plus the weighted_po
 // membership scan run on a thread pool with FIXED chunk boundaries, so
 // results are bitwise identical for any thread count. The seed's hash-map
 // implementation is retained in core/oracle_ref.hpp as the equivalence
@@ -25,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/dual_state.hpp"
@@ -32,6 +34,7 @@
 #include "core/odd_sets.hpp"
 #include "core/weight_levels.hpp"
 #include "graph/graph.hpp"
+#include "util/dense_key_set.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp::core {
@@ -42,6 +45,63 @@ struct StoredMultiplier {
   EdgeId edge;
   double us;
 };
+
+/// One stored edge as the oracle reads it: the stored sample's endpoints
+/// and level plus its refined multiplier u^s.
+struct StoredEdge {
+  Vertex u = 0;
+  Vertex v = 0;
+  std::int32_t level = 0;
+  double us = 0;
+};
+
+/// The stored-row table of one inner iteration. A row is a packed
+/// (vertex, level) key i * L + k. The table holds the stored edges the
+/// oracle reads (us > 0 and level >= 0, in stored order), their sorted
+/// distinct rows, each row's us sum and usc = sum wHat_k us over the
+/// edges. build() makes all of it in one linear pass over the sample: the
+/// rows go into an n * L-bit DenseKeySet whose per-word ranks index the
+/// sums, so no n * L-sized double buffer exists. Sums accumulate in
+/// encounter order (stored order, u-endpoint then v-endpoint), the order
+/// the map-based oracle folds them in. The round pipeline takes zeta's
+/// rows from the table, and every rho probe of a Lagrangian search reads
+/// it; nothing regroups.
+class StoredRows {
+ public:
+  explicit StoredRows(const LevelGraph& lg) : lg_(&lg) {}
+
+  /// Step 1: room for `count` records of the stored sample, for the caller
+  /// to fill in stored order.
+  std::span<StoredEdge> sample(std::size_t count) {
+    edges_.resize(count);
+    return edges_;
+  }
+  /// Step 2: drop the records the oracle ignores (us <= 0 or level < 0;
+  /// the pipeline's samples have none), keeping the stored order, and
+  /// group the rest.
+  void build();
+
+  const LevelGraph& level_graph() const { return *lg_; }
+  const std::vector<StoredEdge>& edges() const { return edges_; }
+  /// Sorted distinct rows, and each row's summed us (parallel).
+  const std::vector<std::uint64_t>& keys() const { return keys_; }
+  const std::vector<double>& sums() const { return sums_; }
+  /// sum over edges of wHat_level * us, folded in stored order.
+  double usc() const { return usc_; }
+
+ private:
+  const LevelGraph* lg_;
+  std::vector<StoredEdge> edges_;
+  std::vector<std::uint64_t> keys_;
+  std::vector<double> sums_;
+  double usc_ = 0;
+  DenseKeySet row_set_;
+};
+
+/// The table of explicit stored multipliers, endpoints and levels looked up
+/// in `lg` (callers outside the round pipeline; same build()).
+StoredRows stored_rows(const LevelGraph& lg,
+                       const std::vector<StoredMultiplier>& us);
 
 /// Sparse zeta_{ik} multipliers keyed by i * num_levels + k, sorted by key.
 /// (The name survives from the unordered_map era; the representation is a
@@ -124,16 +184,24 @@ class MicroOracle {
   MicroOracle& operator=(MicroOracle&&) noexcept;
 
   /// One Algorithm-5 invocation at a fixed Lagrange multiplier rho (the
-  /// paper's varrho). `cache`, if given, amortizes odd-set separation
-  /// across invocations with the same stored multipliers.
+  /// paper's varrho) on a built stored-row table of this oracle's level
+  /// graph. `cache`, if given, amortizes odd-set separation across
+  /// invocations with the same stored multipliers.
+  MicroResult run(const StoredRows& rows, const ZetaMap& zeta, double beta,
+                  double rho, OddSetCache* cache = nullptr) const;
+  /// The same on explicit stored multipliers (builds their table).
   MicroResult run(const std::vector<StoredMultiplier>& us,
                   const ZetaMap& zeta, double beta, double rho,
                   OddSetCache* cache = nullptr) const;
 
   /// Lemma 10 wrapper: binary search over rho; returns either a primal
   /// signal or a dual point additionally satisfying
-  /// zeta^T Po x <= (13/12) zeta^T qo. `calls` (optional) accumulates the
-  /// number of MicroOracle invocations.
+  /// zeta^T Po x <= (13/12) zeta^T qo. Every probe reads the one table.
+  /// `calls` (optional) accumulates the number of MicroOracle invocations.
+  MicroResult run_lagrangian(const StoredRows& rows, const ZetaMap& zeta,
+                             double beta,
+                             std::size_t* calls = nullptr) const;
+  /// The same on explicit stored multipliers (builds their table once).
   MicroResult run_lagrangian(const std::vector<StoredMultiplier>& us,
                              const ZetaMap& zeta, double beta,
                              std::size_t* calls = nullptr) const;

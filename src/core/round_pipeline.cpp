@@ -73,7 +73,8 @@ RoundPipeline::RoundPipeline(access::Substrate& substrate,
       pool_(oracle.worker_pool()),
       options_(std::move(options)),
       sample_rng_(options_.sample_seed),
-      weight_order_(lg.graph()) {
+      weight_order_(lg.graph()),
+      ctx_(lg) {
   if (options_.grain == 0) options_.grain = 1;
   options_.sparsifiers =
       std::min(options_.sparsifiers, kMaxSparsifiersPerRound);
@@ -235,14 +236,14 @@ Future<OfflineSolution> RoundPipeline::stage_offline(
   const SamplingRound* frozen = &draws;
   auto job = [this, frozen]() {
     // Materialize the union from the substrate's immutable stored-edge
-    // attributes (job-local buffers: the job may run concurrently with
-    // InnerRefine). The offline working set is a copy of edges the Draw
-    // stage already charged (union <= stored incidences), so it consumes
-    // no additional space budget in the paper's model.
-    std::vector<EdgeId> ids;
-    std::vector<Edge> edges;
-    substrate_->materialize_union(frozen->union_support(), ids, edges);
-    return solve_offline(ids, edges);
+    // attributes into the OfflineResolve buffers (InnerRefine never touches
+    // them, so the job may run concurrently with it). The offline working
+    // set is a copy of edges the Draw stage already charged (union <=
+    // stored incidences), so it consumes no additional space budget in the
+    // paper's model.
+    substrate_->materialize_union(frozen->union_support(), ctx_.union_ids,
+                                  ctx_.union_edges);
+    return solve_offline(ctx_.union_ids, ctx_.union_edges);
   };
   return submit_job(pool_, std::move(job));
 }
@@ -263,17 +264,10 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
     if (ctx_.ids.empty()) continue;
     gather_stored_attrs();
     covering_us_stored(state, alpha, ctx_.u_now);
-    ctx_.us.resize(ctx_.ids.size());
-    run_chunks(pool_, 0, ctx_.ids.size(), options_.grain,
-               [&](std::size_t, std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) {
-                   ctx_.us[i] = StoredMultiplier{
-                       ctx_.ids[i], ctx_.u_now[i] / ctx_.sample_prob[i]};
-                 }
-               });
+    build_stored_rows();
     build_zeta(state);
 
-    const MicroResult mr = oracle_->run_lagrangian(ctx_.us, ctx_.zeta,
+    const MicroResult mr = oracle_->run_lagrangian(ctx_.rows, ctx_.zeta,
                                                    inc.beta,
                                                    &report.oracle_calls);
     ctx_.inner_meter.add_inner_iterations();
@@ -309,34 +303,36 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
 
 OfflineSolution RoundPipeline::solve_offline(const std::vector<EdgeId>& ids,
                                              const std::vector<Edge>& edges) {
-  Graph sub(substrate_->num_vertices());
+  Graph& sub = ctx_.offline_graph;
+  sub.reset(substrate_->num_vertices());
   for (const Edge& edge : edges) {
     sub.add_edge(edge.u, edge.v, edge.w);
   }
   // The solve's weight order restricted to the subgraph: the subgraph's own
   // stable weight order (ids ascending), without a sort.
   std::vector<EdgeId> order = weight_order_.restrict_to(ids);
+  // Local ids ascending map to ids ascending, so the support comes out
+  // ascending: the matching's (at most n/2) edges are sorted, the
+  // b-matching's union-sized solution is scanned in order.
   OfflineSolution out;
-  out.bm = BMatching(lg_->graph().num_edges());
   if (unit_caps_) {
     const Matching m =
         approx_weighted_matching(sub, std::move(order), options_.offline);
-    for (EdgeId local : m.edges()) out.bm.set_multiplicity(ids[local], 1);
+    for (EdgeId local : m.edges()) out.support.push_back(ids[local]);
+    std::sort(out.support.begin(), out.support.end());
+    out.multiplicity.assign(out.support.size(), 1);
   } else {
     const BMatching bm = approx_weighted_b_matching(sub, *b_, order);
     for (EdgeId local = 0; local < bm.num_edges(); ++local) {
       if (bm.multiplicity(local) > 0) {
-        out.bm.set_multiplicity(ids[local], bm.multiplicity(local));
+        out.support.push_back(ids[local]);
+        out.multiplicity.push_back(bm.multiplicity(local));
       }
     }
   }
-  // ids ascending: one scan lists the support in ascending order.
-  for (EdgeId e : ids) {
-    if (out.bm.multiplicity(e) > 0) {
-      out.support.push_back(e);
-      out.value += static_cast<double>(out.bm.multiplicity(e)) *
-                   lg_->graph().edge(e).w;
-    }
+  for (std::size_t i = 0; i < out.support.size(); ++i) {
+    out.value += static_cast<double>(out.multiplicity[i]) *
+                 lg_->graph().edge(out.support[i]).w;
   }
   return out;
 }
@@ -346,15 +342,18 @@ void RoundPipeline::merge_offline(const OfflineSolution& sol,
   const double eps = options_.eps;
   if (sol.value > inc.value) {
     inc.value = sol.value;
-    inc.best = sol.bm;
+    inc.best = BMatching(lg_->graph().num_edges());
+    for (std::size_t i = 0; i < sol.support.size(); ++i) {
+      inc.best.set_multiplicity(sol.support[i], sol.multiplicity[i]);
+    }
   }
   // Normalized (level-weight) value over the solution's support only — no
   // full-edge scan.
   double norm = 0;
-  for (EdgeId e : sol.support) {
-    if (lg_->level(e) >= 0) {
-      norm += static_cast<double>(sol.bm.multiplicity(e)) *
-              lg_->level_weight(lg_->level(e));
+  for (std::size_t i = 0; i < sol.support.size(); ++i) {
+    const int k = lg_->level(sol.support[i]);
+    if (k >= 0) {
+      norm += static_cast<double>(sol.multiplicity[i]) * lg_->level_weight(k);
     }
   }
   // Algorithm 2 step 6 with a3 folded into eps: remember the raised beta.
@@ -467,30 +466,42 @@ void RoundPipeline::extract_sparsifier(const SamplingRound& draws,
              });
 }
 
+void RoundPipeline::build_stored_rows() {
+  const access::RetainedEdge* attr = ctx_.store_attr.data();
+  const double* u_now = ctx_.u_now.data();
+  const double* sp = ctx_.sample_prob.data();
+  const std::size_t s = ctx_.store_idx.size();
+  StoredEdge* out = ctx_.rows.sample(s).data();
+  run_chunks(pool_, 0, s, options_.grain,
+             [&](std::size_t, std::size_t lo, std::size_t hi) {
+               for (std::size_t i = lo; i < hi; ++i) {
+                 out[i] = StoredEdge{attr[i].u, attr[i].v, attr[i].level,
+                                     u_now[i] / sp[i]};
+               }
+             });
+  ctx_.rows.build();
+  // Every stored us is positive (the floored multiplier over a positive
+  // inclusion probability) and every retained level is >= 0, so the
+  // table keeps the whole sample: zeta's rows (all stored edges) and the
+  // oracle's rows (us > 0, level >= 0) are the same rows.
+  if (ctx_.rows.edges().size() != s) {
+    throw std::logic_error(
+        "RoundPipeline: stored sample holds an edge the oracle ignores");
+  }
+}
+
 void RoundPipeline::build_zeta(const DualState& state) {
   const LevelGraph& lg = *lg_;
-  const access::RetainedEdge* attr = ctx_.store_attr.data();
   const double eps = options_.eps;
   const auto levels = static_cast<std::uint64_t>(lg.num_levels());
-  const std::size_t s = ctx_.store_idx.size();
   const std::size_t grain = options_.grain;
 
-  // zeta: packing multipliers on the active outer rows (i, k), built flat:
-  // both endpoints' packed keys go into a bitmap over the n * L key space,
-  // drained in ascending order (sorted distinct rows in linear time), then
-  // two chunk-parallel exp sweeps (the max reduction is exact).
-  ctx_.row_set.reset(static_cast<std::uint64_t>(substrate_->num_vertices()) *
-                     levels);
-  for (std::size_t i = 0; i < s; ++i) {
-    const access::RetainedEdge& re = attr[i];
-    const auto k = static_cast<std::uint64_t>(re.level);
-    ctx_.row_set.insert(static_cast<std::uint64_t>(re.u) * levels + k);
-    ctx_.row_set.insert(static_cast<std::uint64_t>(re.v) * levels + k);
-  }
-  ctx_.row_set.drain_sorted(ctx_.row_keys);
-  const std::uint64_t* row_keys = ctx_.row_keys.data();
+  // zeta: packing multipliers on the active outer rows (i, k) — the
+  // table's sorted distinct rows — built flat by two chunk-parallel exp
+  // sweeps (the max reduction is exact).
+  const std::uint64_t* row_keys = ctx_.rows.keys().data();
 
-  const std::size_t rows = ctx_.row_keys.size();
+  const std::size_t rows = ctx_.rows.keys().size();
   const std::size_t chunks = rows == 0 ? 0 : (rows + grain - 1) / grain;
   ctx_.expos.resize(rows);
   ctx_.cov_partial.assign(chunks, -1e300);

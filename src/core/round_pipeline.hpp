@@ -3,10 +3,10 @@
 // round of Algorithm 2 (the body of Solver::solve's outer loop).
 //
 // A round decomposes into explicit stages over a RoundContext that owns the
-// per-round buffers of the Multipliers/Draw/InnerRefine stages (those
-// allocate nothing in steady state; OfflineResolve builds its own working
-// set per round — one job in flight at a time, off the critical path when
-// overlapped):
+// per-round buffers of every stage (the Multipliers/Draw/InnerRefine
+// buffers allocate nothing in steady state; OfflineResolve refills
+// pipeline-owned union buffers — one job in flight at a time, off the
+// critical path when overlapped):
 //
 //   Multipliers ──> Draw ──┬── OfflineResolve ──┐
 //                          └── InnerRefine ─────┴──> Merge
@@ -72,19 +72,18 @@
 #include "sparsify/deferred.hpp"
 #include "util/accounting.hpp"
 #include "util/cancel.hpp"
-#include "util/dense_key_set.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp::core {
 
-/// Offline re-solve output: the solution lifted to full-graph edge ids plus
-/// its positive-multiplicity support, so downstream consumers (normalized
-/// value, merge) iterate the support instead of rescanning all m edges.
+/// Offline re-solve output: the solution's positive-multiplicity support in
+/// full-graph edge ids, so downstream consumers (normalized value, merge)
+/// iterate the support instead of an m-sized solution.
 struct OfflineSolution {
-  BMatching bm;
-  std::vector<EdgeId> support;  // edges with multiplicity > 0, ascending
-  double value = 0;             // original-weight value of bm
+  std::vector<EdgeId> support;              // multiplicity > 0, ascending
+  std::vector<std::int64_t> multiplicity;   // parallel to support
+  double value = 0;                         // original-weight value
 };
 
 /// The incumbent primal solution and normalized budget beta shared by the
@@ -167,19 +166,20 @@ class RoundPipeline {
   /// attributes (parallel arrays). The initial support, the warm re-solve's
   /// retained set and the per-round union all route through here; only
   /// stored-edge data is read. The matching scans the solve's one weight
-  /// order restricted to `ids` (WeightOrder scratch — the pipeline never
-  /// runs two of these at once).
+  /// order restricted to `ids`, on a pipeline-owned scratch subgraph (the
+  /// pipeline never runs two of these at once).
   OfflineSolution solve_offline(const std::vector<EdgeId>& ids,
                                 const std::vector<Edge>& edges);
 
   /// Algorithm 2 step 6: fold an offline solution into the incumbent —
-  /// remember the best integral solution and raise beta when the
-  /// normalized value (over the solution's support) beats it.
+  /// rewrite inc.best only when the solution's value beats it, and raise
+  /// beta when the normalized value (over the solution's support) does.
   void merge_offline(const OfflineSolution& sol, Incumbent& inc) const;
 
  private:
   /// Reusable per-round scratch; every stage writes only its own buffers.
   struct RoundContext {
+    explicit RoundContext(const LevelGraph& lg) : rows(lg) {}
     // open_round / Multipliers stage.
     std::vector<double> cov_ratio;    // staged covering ratios
     std::vector<double> cov_partial;  // chunked exact reductions
@@ -193,12 +193,15 @@ class RoundPipeline {
     std::vector<EdgeId> ids;               // full-graph ids, parallel
     std::vector<double> sample_prob;
     std::vector<double> u_now;
-    std::vector<StoredMultiplier> us;
-    DenseKeySet row_set;                   // zeta row grouping
-    std::vector<std::uint64_t> row_keys;   // sorted distinct zeta rows
+    StoredRows rows;  // the sample's stored-row table (zeta + oracle)
     std::vector<double> expos;
     ZetaMap zeta;
     std::vector<std::uint32_t> chunk_cursor;
+    // OfflineResolve (one job in flight: run_round parks it and
+    // join_pending always precedes the next launch).
+    std::vector<EdgeId> union_ids;
+    std::vector<Edge> union_edges;
+    Graph offline_graph;
     // Per-stage meters, merged (in this order) at the Merge stage. The
     // draw's round/pass/store accounting lives on the substrate meter.
     ResourceMeter offline_meter;
@@ -231,9 +234,11 @@ class RoundPipeline {
   /// substrates copy rows; the file-backed backend serves its per-round
   /// sample cache through stored_attr().
   void gather_stored_attrs();
-  /// zeta build: the sample's packed (vertex, level) row keys, sorted and
-  /// deduplicated in linear time by a DenseKeySet bitmap over the n * L
-  /// key space, then chunk-parallel exp sweeps with exact max reduction.
+  /// The sample's stored-row table (ctx_.rows) from the gathered
+  /// attributes and the refined multipliers u_now / sample_prob.
+  void build_stored_rows();
+  /// zeta build on the table's sorted distinct rows: chunk-parallel exp
+  /// sweeps with exact max reduction.
   void build_zeta(const DualState& state);
 
   access::Substrate* substrate_;

@@ -64,6 +64,12 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   return *this;
 }
 
+void Graph::reset(std::size_t n) {
+  n_ = n;
+  edges_.clear();
+  adjacency_valid_.store(false, std::memory_order_release);
+}
+
 bool Graph::add_edge(Vertex u, Vertex v, double w) {
   if (u == v) return false;
   if (u >= n_ || v >= n_) {

@@ -42,6 +42,11 @@ class Graph {
   const std::vector<Edge>& edges() const noexcept { return edges_; }
   const Edge& edge(EdgeId e) const noexcept { return edges_[e]; }
 
+  /// Empty the graph to n vertices and no edges, keeping the edge and CSR
+  /// buffers' capacity, so a reused scratch graph refills without
+  /// reallocating. Must not run concurrently with readers.
+  void reset(std::size_t n);
+
   /// Append an edge; invalidates the CSR view. Self loops are rejected
   /// (returns false) because no matching LP has them.
   bool add_edge(Vertex u, Vertex v, double w = 1.0);

@@ -105,12 +105,16 @@ void estimate_strengths_into(std::size_t n, const std::vector<Edge>& edges,
                       rng.coin_flips_until_tail(e, 0)));
   }
 
-  // CSR of level membership: edge e participates in levels 0..cap[e].
+  // CSR of level membership: edge e participates in levels 0..cap[e], so
+  // level i holds the edges with cap >= i — a suffix sum of the cap
+  // histogram. Level 0 is every edge in ascending order (positions
+  // [0, m) are the edge ids), so only levels >= 1 are written out.
   scratch.level_offset.assign(levels + 1, 0);
   for (std::size_t e = 0; e < m; ++e) {
-    for (std::size_t i = 0; i <= scratch.level_cap[e]; ++i) {
-      ++scratch.level_offset[i + 1];
-    }
+    ++scratch.level_offset[scratch.level_cap[e] + 1];
+  }
+  for (std::size_t i = levels - 1; i-- > 0;) {
+    scratch.level_offset[i + 1] += scratch.level_offset[i + 2];
   }
   std::size_t used_levels = levels;
   for (std::size_t i = 0; i < levels; ++i) {
@@ -120,30 +124,29 @@ void estimate_strengths_into(std::size_t n, const std::vector<Edge>& edges,
     }
     scratch.level_offset[i + 1] += scratch.level_offset[i];
   }
-  scratch.level_members.resize(scratch.level_offset[used_levels]);
+  scratch.level_members.resize(scratch.level_offset[used_levels] - m);
   scratch.cursor.assign(scratch.level_offset.begin(),
                         scratch.level_offset.begin() +
                             static_cast<std::ptrdiff_t>(used_levels));
   for (std::size_t e = 0; e < m; ++e) {
-    const std::size_t cap =
-        std::min<std::size_t>(scratch.level_cap[e],
-                              used_levels == 0 ? 0 : used_levels - 1);
-    for (std::size_t i = 0; i <= cap && i < used_levels; ++i) {
-      scratch.level_members[scratch.cursor[i]++] = static_cast<std::uint32_t>(e);
+    for (std::size_t i = 1; i <= scratch.level_cap[e]; ++i) {
+      scratch.level_members[scratch.cursor[i]++ - m] =
+          static_cast<std::uint32_t>(e);
     }
   }
 
   // Independent forest-packing jobs, each sequential in edge order and
   // writing only its own candidate slice — deterministic for any thread
-  // count. Level 0 holds EVERY edge and used to dominate the critical
-  // path as one serial job; it now splits into vertex-disjoint region
-  // jobs (balanced component buckets). Forest packing never crosses a
-  // component boundary — an edge's placement index depends only on the
-  // earlier edges of its own component — so per-region packing in
-  // ascending edge order reproduces the serial placement indices exactly.
-  // Levels >= 1 are subsamples and stay one job each.
-  scratch.candidate.resize(scratch.level_members.size());
-  const std::size_t regions = build_level0_regions(n, edges, scratch);
+  // count. Level 0 holds EVERY edge; with a pool it splits into
+  // vertex-disjoint region jobs (balanced component buckets) so it does
+  // not serialize the pass. Forest packing never crosses a component
+  // boundary — an edge's placement index depends only on the earlier
+  // edges of its own component — so per-region packing in ascending edge
+  // order reproduces the serial placement indices exactly. Without a pool
+  // level 0 is one job. Levels >= 1 are subsamples and stay one job each.
+  scratch.candidate.resize(scratch.level_offset[used_levels]);
+  std::size_t regions = 1;
+  if (pool != nullptr) regions = build_level0_regions(n, edges, scratch);
   const std::size_t jobs = regions + (used_levels - 1);
   if (scratch.packers.size() < jobs) {
     scratch.packers.resize(jobs);
@@ -152,8 +155,14 @@ void estimate_strengths_into(std::size_t n, const std::vector<Edge>& edges,
     detail::ForestPacker& packer = scratch.packers[job];
     packer.reset(n);
     if (job < regions) {
-      // Level 0's CSR positions coincide with edge ids (every edge is a
-      // level-0 member, filled in ascending order).
+      // Level 0's positions coincide with edge ids.
+      if (pool == nullptr) {
+        for (std::size_t e = 0; e < m; ++e) {
+          scratch.candidate[e] = static_cast<double>(
+              packer.insert(edges[e].u, edges[e].v));
+        }
+        return;
+      }
       for (std::size_t pos = scratch.region_offset[job];
            pos < scratch.region_offset[job + 1]; ++pos) {
         const std::uint32_t e = scratch.region_members[pos];
@@ -166,7 +175,7 @@ void estimate_strengths_into(std::size_t n, const std::vector<Edge>& edges,
     const double scale = std::pow(2.0, static_cast<double>(i));
     for (std::size_t pos = scratch.level_offset[i];
          pos < scratch.level_offset[i + 1]; ++pos) {
-      const std::uint32_t e = scratch.level_members[pos];
+      const std::uint32_t e = scratch.level_members[pos - m];
       const std::size_t j = packer.insert(edges[e].u, edges[e].v);
       scratch.candidate[pos] =
           j >= k_min ? static_cast<double>(j) * scale : 0.0;
@@ -175,13 +184,13 @@ void estimate_strengths_into(std::size_t n, const std::vector<Edge>& edges,
 
   // Combine in level order (max is exact, so the order is irrelevant for
   // the value — it just keeps the pass cache-friendly).
-  for (std::size_t i = 0; i < used_levels; ++i) {
-    for (std::size_t pos = scratch.level_offset[i];
-         pos < scratch.level_offset[i + 1]; ++pos) {
-      const std::uint32_t e = scratch.level_members[pos];
-      if (scratch.candidate[pos] > strength[e]) {
-        strength[e] = scratch.candidate[pos];
-      }
+  for (std::size_t e = 0; e < m; ++e) {
+    if (scratch.candidate[e] > strength[e]) strength[e] = scratch.candidate[e];
+  }
+  for (std::size_t pos = m; pos < scratch.level_offset[used_levels]; ++pos) {
+    const std::uint32_t e = scratch.level_members[pos - m];
+    if (scratch.candidate[pos] > strength[e]) {
+      strength[e] = scratch.candidate[pos];
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -165,18 +166,31 @@ TEST(RoundPipeline, SolveOfflineReportsPositiveSupportOnly) {
   }
   const OfflineSolution sol = pipeline.solve_offline(support, support_edges);
   ASSERT_FALSE(sol.support.empty());
-  // The reported support is exactly the positive-multiplicity edges, and
-  // the cached value is the solution's original-weight value.
+  // The reported support is exactly the positive-multiplicity edges (one
+  // multiplicity per support edge, ascending ids drawn from the offered
+  // subgraph), and the cached value is the solution's original-weight
+  // value.
+  ASSERT_EQ(sol.multiplicity.size(), sol.support.size());
+  BMatching bm(g.num_edges());
+  for (std::size_t i = 0; i < sol.support.size(); ++i) {
+    if (i > 0) EXPECT_LT(sol.support[i - 1], sol.support[i]);
+    EXPECT_TRUE(std::binary_search(support.begin(), support.end(),
+                                   sol.support[i]));
+    bm.set_multiplicity(sol.support[i], sol.multiplicity[i]);
+  }
+  EXPECT_TRUE(bm.is_valid(g, b));
   double value = 0;
   std::size_t positives = 0;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (sol.bm.multiplicity(e) > 0) {
+    if (bm.multiplicity(e) > 0) {
       ++positives;
-      value += static_cast<double>(sol.bm.multiplicity(e)) * g.edge(e).w;
+      value += static_cast<double>(bm.multiplicity(e)) * g.edge(e).w;
     }
   }
   EXPECT_EQ(sol.support.size(), positives);
-  for (EdgeId e : sol.support) EXPECT_GT(sol.bm.multiplicity(e), 0);
+  for (std::size_t i = 0; i < sol.support.size(); ++i) {
+    EXPECT_GT(sol.multiplicity[i], 0);
+  }
   EXPECT_EQ(sol.value, value);
 
   // merge_offline keeps the better incumbent and raises beta from the
@@ -187,14 +201,19 @@ TEST(RoundPipeline, SolveOfflineReportsPositiveSupportOnly) {
   pipeline.merge_offline(sol, inc);
   EXPECT_EQ(inc.value, sol.value);
   EXPECT_GT(inc.beta, 1e-12);
+  // The incumbent now holds exactly the solution.
+  EXPECT_EQ(inc.best.num_edges(), g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_EQ(inc.best.multiplicity(e), bm.multiplicity(e)) << "edge " << e;
+  }
   // A worse solution must not displace the incumbent.
   OfflineSolution worse;
-  worse.bm = BMatching(g.num_edges());
   worse.value = 0;
   const double beta_before = inc.beta;
   pipeline.merge_offline(worse, inc);
   EXPECT_EQ(inc.value, sol.value);
   EXPECT_EQ(inc.beta, beta_before);
+  EXPECT_EQ(inc.best.support(), sol.support.size());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // comparison sorts they replace, on seeded random inputs full of duplicates
 // and ties:
 //  - zeta row grouping (DenseKeySet) vs std::sort + std::unique, keys up to
-//    the n * L - 1 edge of the key space;
+//    the n * L - 1 edge of the key space, and each row's rank;
 //  - weight-class grouping (group_weight_classes) vs std::sort of the
 //    packed (class, edge) keys, promises spanning negative classes and the
 //    extremes of the double range;
@@ -29,7 +29,7 @@ namespace dp {
 namespace {
 
 TEST(SortFree, DenseKeySetMatchesSortUnique) {
-  DenseKeySet set;  // one instance across cases: drain must leave it empty
+  DenseKeySet set;  // one instance across cases: reset must empty it
   std::vector<std::uint64_t> got;
   for (std::uint64_t seed = 0; seed < 24; ++seed) {
     Rng rng(seed);
@@ -50,19 +50,23 @@ TEST(SortFree, DenseKeySetMatchesSortUnique) {
 
     set.reset(universe);
     for (const std::uint64_t k : keys) set.insert(k);
-    set.drain_sorted(got);
+    set.index_sorted(got);
 
     std::vector<std::uint64_t> want = keys;
     std::sort(want.begin(), want.end());
     want.erase(std::unique(want.begin(), want.end()), want.end());
     ASSERT_EQ(got, want) << "seed " << seed;
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      ASSERT_EQ(set.index_of(want[r]), r) << "seed " << seed;
+    }
   }
-  // Reused without reset at the same size: the drain emptied the set.
+  // Reset to a smaller universe over the last case's members: only the
+  // new member is listed.
   set.reset(64);
   set.insert(63);
-  set.drain_sorted(got);
-  set.drain_sorted(got);
-  EXPECT_TRUE(got.empty());
+  set.index_sorted(got);
+  EXPECT_EQ(got, std::vector<std::uint64_t>{63});
+  EXPECT_EQ(set.index_of(63), 0u);
 }
 
 /// The packed-key sort group_weight_classes replaced, verbatim.
