@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -104,10 +105,20 @@ Measurement time_lagrangian(const Oracle& oracle, const Workload& w,
   return m;
 }
 
+/// CPU seconds of the calling thread (CLOCK_THREAD_CPUTIME_ID): time the
+/// thread spends descheduled on a loaded host does not count.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 /// Seconds per rep of `base` and of `fast`, each the fastest of `blocks`
-/// blocks of `reps` reps, the two sides alternating block by block: a
-/// host-load burst then slows one block of each side rather than one
-/// whole side, and the minimum drops it.
+/// blocks of `reps` reps on the thread CPU clock, the two sides
+/// alternating block by block: a host-load burst (cache or memory-bus
+/// contention the CPU clock still sees) then slows one block of each side
+/// rather than one whole side, and the minimum drops it.
 template <typename Base, typename Fast>
 std::pair<double, double> best_block_seconds(std::size_t blocks,
                                              std::size_t reps,
@@ -116,12 +127,13 @@ std::pair<double, double> best_block_seconds(std::size_t blocks,
   double base_s = 1e300;
   double fast_s = 1e300;
   for (std::size_t b = 0; b < blocks; ++b) {
-    WallTimer t_base;
+    const double t_base = thread_cpu_seconds();
     for (std::size_t r = 0; r < reps; ++r) base();
-    base_s = std::min(base_s, t_base.seconds() / static_cast<double>(reps));
-    WallTimer t_fast;
+    const double t_fast = thread_cpu_seconds();
     for (std::size_t r = 0; r < reps; ++r) fast();
-    fast_s = std::min(fast_s, t_fast.seconds() / static_cast<double>(reps));
+    const double t_end = thread_cpu_seconds();
+    base_s = std::min(base_s, (t_fast - t_base) / static_cast<double>(reps));
+    fast_s = std::min(fast_s, (t_end - t_fast) / static_cast<double>(reps));
   }
   return {base_s, fast_s};
 }
@@ -188,15 +200,17 @@ std::pair<double, double> best_block_seconds(std::size_t blocks,
                 fast_rate / base_rate});
   }
 
-  // ---- Kernel 7: forest packing, edges/sec: one 30k-edge weight class of
-  // the dense instance packed as strength estimation's level 0 (all edges,
-  // ascending), both packers reusing their forests across reps. ----
+  // ---- Kernel 7: forest packing, edges/sec: the dense instance's floor
+  // weight class (about 94% of its edges, on which nearly every forest
+  // spans all n vertices) packed as strength estimation's level 0 (all
+  // class edges, ascending), both packers reusing their buffers across
+  // reps. ----
   {
     const std::size_t blocks = 7;
-    const std::size_t reps = quick ? 4 : 12;
+    const std::size_t reps = quick ? 2 : 6;
     std::vector<Edge> cls;
     for (const Edge& edge : dense.edges()) {
-      if (rng.uniform(3) == 0) cls.push_back(edge);
+      if (rng.uniform(50) < 47) cls.push_back(edge);
     }
     bench_ref::UnionFindPacker uf_packer(sort_n);
     detail::ForestPacker label_packer(sort_n);
@@ -259,10 +273,11 @@ std::pair<double, double> best_block_seconds(std::size_t blocks,
 /// subgraph's ids by weight vs WeightOrder::restrict_to of the per-solve
 /// order), 6 = the oracle's stored-row table on the dense_mem shape (the
 /// former two-pass LSD grouping vs StoredRows::build), 7 = level-0 forest
-/// packing of one n = 500 weight class (union-find forests vs the label
-/// packer). Rows 4-7 assert identical output before timing; the reference
-/// kernels of rows 6 and 7 live in bench/reference_kernels.hpp, and those
-/// two rows time alternating blocks and keep each side's fastest.
+/// packing of the dense instance's floor weight class (union-find forests
+/// vs the label packer with its spanning prefix). Rows 3-7 assert
+/// identical output before timing; the reference kernels of rows 6 and 7
+/// live in bench/reference_kernels.hpp. Every row times alternating
+/// blocks on the thread CPU clock and keeps each side's fastest.
 void bench_kernels(bool quick) {
   bench::header("micro kernels (hot-path round 2)",
                 "isolated kernel speedups: vectorized exp batch, SIMD-ized "
@@ -281,7 +296,8 @@ void bench_kernels(bool quick) {
   // ---- Kernel 0: the exp batch itself, elements/sec. ----
   {
     const std::size_t n = quick ? (1u << 14) : (1u << 18);
-    const std::size_t reps = quick ? 400 : 60;
+    const std::size_t blocks = 7;
+    const std::size_t reps = quick ? 60 : 9;
     std::vector<double> x(n);
     std::vector<double> out(n);
     for (double& v : x) v = -40.0 * rng.uniform_real();  // sweep-range args
@@ -289,25 +305,23 @@ void bench_kernels(bool quick) {
     // runtime ISA dispatch so neither cost lands inside a timed loop.
     simd::exp_batch_libm(x.data(), out.data(), n);
     simd::exp_batch_poly(x.data(), out.data(), n);
-    WallTimer t_libm;
-    for (std::size_t r = 0; r < reps; ++r) {
-      simd::exp_batch_libm(x.data(), out.data(), n);
-      sink += out[r % n];
-    }
-    const double libm_s = t_libm.seconds();
-    WallTimer t_poly;
-    for (std::size_t r = 0; r < reps; ++r) {
-      simd::exp_batch_poly(x.data(), out.data(), n);
-      sink += out[r % n];
-    }
-    const double poly_s = t_poly.seconds();
-    const double total = static_cast<double>(n) * static_cast<double>(reps);
-    const double base_rate = total / libm_s;
-    const double fast_rate = total / poly_s;
+    const auto [libm_s, poly_s] = best_block_seconds(
+        blocks, reps,
+        [&] {
+          simd::exp_batch_libm(x.data(), out.data(), n);
+          sink += out[n / 2];
+        },
+        [&] {
+          simd::exp_batch_poly(x.data(), out.data(), n);
+          sink += out[n / 2];
+        });
+    const double base_rate = static_cast<double>(n) / libm_s;
+    const double fast_rate = static_cast<double>(n) / poly_s;
     std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx\n", "exp_batch", n,
-                reps, base_rate, fast_rate, fast_rate / base_rate);
-    report.add({0.0, static_cast<double>(n), static_cast<double>(reps),
-                base_rate, fast_rate, fast_rate / base_rate});
+                blocks * reps, base_rate, fast_rate, fast_rate / base_rate);
+    report.add({0.0, static_cast<double>(n),
+                static_cast<double>(blocks * reps), base_rate, fast_rate,
+                fast_rate / base_rate});
   }
 
   // ---- Kernel 1: one multiplier sweep (the exp_floor_multipliers body):
@@ -317,7 +331,8 @@ void bench_kernels(bool quick) {
   // streaming the whole array three times. ----
   {
     const std::size_t n = quick ? (1u << 14) : (1u << 18);
-    const std::size_t reps = quick ? 400 : 60;
+    const std::size_t blocks = 7;
+    const std::size_t reps = quick ? 60 : 9;
     const std::size_t grain = 1024;  // RoundPipelineOptions::grain
     const double alpha = 7.5;
     std::vector<double> ratio(n);
@@ -328,41 +343,39 @@ void bench_kernels(bool quick) {
       w[i] = 1.0 + 3.0 * rng.uniform_real();
     }
     simd::exp_batch_poly(ratio.data(), out.data(), n);  // untimed warmup
-    WallTimer t_scalar;
-    for (std::size_t r = 0; r < reps; ++r) {
-      double local_max = 0;
-      for (std::size_t lo = 0; lo < n; lo += grain) {
-        const std::size_t hi = std::min(n, lo + grain);
-        for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = std::exp(-alpha * ratio[i]) / w[i];
-          local_max = std::max(local_max, out[i]);
-        }
-      }
-      sink += local_max;
-    }
-    const double scalar_s = t_scalar.seconds();
-    WallTimer t_vec;
-    for (std::size_t r = 0; r < reps; ++r) {
-      double local_max = 0;
-      for (std::size_t lo = 0; lo < n; lo += grain) {
-        const std::size_t hi = std::min(n, lo + grain);
-        for (std::size_t i = lo; i < hi; ++i) out[i] = -alpha * ratio[i];
-        simd::exp_batch_poly(out.data() + lo, out.data() + lo, hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-          out[i] /= w[i];
-          local_max = std::max(local_max, out[i]);
-        }
-      }
-      sink += local_max;
-    }
-    const double vec_s = t_vec.seconds();
-    const double total = static_cast<double>(n) * static_cast<double>(reps);
-    const double base_rate = total / scalar_s;
-    const double fast_rate = total / vec_s;
+    const auto [scalar_s, vec_s] = best_block_seconds(
+        blocks, reps,
+        [&] {
+          double local_max = 0;
+          for (std::size_t lo = 0; lo < n; lo += grain) {
+            const std::size_t hi = std::min(n, lo + grain);
+            for (std::size_t i = lo; i < hi; ++i) {
+              out[i] = std::exp(-alpha * ratio[i]) / w[i];
+              local_max = std::max(local_max, out[i]);
+            }
+          }
+          sink += local_max;
+        },
+        [&] {
+          double local_max = 0;
+          for (std::size_t lo = 0; lo < n; lo += grain) {
+            const std::size_t hi = std::min(n, lo + grain);
+            for (std::size_t i = lo; i < hi; ++i) out[i] = -alpha * ratio[i];
+            simd::exp_batch_poly(out.data() + lo, out.data() + lo, hi - lo);
+            for (std::size_t i = lo; i < hi; ++i) {
+              out[i] /= w[i];
+              local_max = std::max(local_max, out[i]);
+            }
+          }
+          sink += local_max;
+        });
+    const double base_rate = static_cast<double>(n) / scalar_s;
+    const double fast_rate = static_cast<double>(n) / vec_s;
     std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx\n", "sweep", n,
-                reps, base_rate, fast_rate, fast_rate / base_rate);
-    report.add({1.0, static_cast<double>(n), static_cast<double>(reps),
-                base_rate, fast_rate, fast_rate / base_rate});
+                blocks * reps, base_rate, fast_rate, fast_rate / base_rate);
+    report.add({1.0, static_cast<double>(n),
+                static_cast<double>(blocks * reps), base_rate, fast_rate,
+                fast_rate / base_rate});
   }
 
   // ---- Kernel 2: Gomory-Hu after one separator-style contraction —
@@ -420,34 +433,34 @@ void bench_kernels(bool quick) {
       alive[v] = 0;
       delta.contracted.push_back(v);
     }
-    const std::size_t reps = quick ? 5 : 5;
+    const std::size_t blocks = 7;
+    const std::size_t reps = 2;
     GomoryHuTree tree;
     gomory_hu_from_arena(net, &alive, tree);  // untimed warmup
-    WallTimer t_full;
-    for (std::size_t r = 0; r < reps; ++r) {
-      gomory_hu_from_arena(net, &alive, tree);
-      sink += static_cast<double>(tree.cut_value[1]);
-    }
-    const double full_s = t_full.seconds();
     GomoryHuStamp stamp;
     std::size_t flows_incremental = 0;
-    WallTimer t_incr;
-    for (std::size_t r = 0; r < reps; ++r) {
-      tree = tree0;
-      stamp = stamp0;
-      flows_incremental =
-          gomory_hu_contract_update(net, &alive, delta, tree, stamp);
-      sink += static_cast<double>(tree.cut_value[1]);
-    }
-    const double incr_s = t_incr.seconds();
-    const double base_rate = static_cast<double>(reps) / full_s;
-    const double fast_rate = static_cast<double>(reps) / incr_s;
+    const auto [full_s, incr_s] = best_block_seconds(
+        blocks, reps,
+        [&] {
+          gomory_hu_from_arena(net, &alive, tree);
+          sink += static_cast<double>(tree.cut_value[1]);
+        },
+        [&] {
+          tree = tree0;
+          stamp = stamp0;
+          flows_incremental =
+              gomory_hu_contract_update(net, &alive, delta, tree, stamp);
+          sink += static_cast<double>(tree.cut_value[1]);
+        });
+    const double base_rate = 1.0 / full_s;
+    const double fast_rate = 1.0 / incr_s;
     std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx  (flows %zu -> %zu)\n",
-                "gusfield", n, reps, base_rate, fast_rate,
+                "gusfield", n, blocks * reps, base_rate, fast_rate,
                 fast_rate / base_rate, n - 1 - delta.contracted.size(),
                 flows_incremental);
-    report.add({2.0, static_cast<double>(n), static_cast<double>(reps),
-                base_rate, fast_rate, fast_rate / base_rate});
+    report.add({2.0, static_cast<double>(n),
+                static_cast<double>(blocks * reps), base_rate, fast_rate,
+                fast_rate / base_rate});
   }
   // ---- Kernel 3: the non-exp sweep body — fill the scaled-shifted
   // exponent, then divide by the level weight with a chunk-max reduction.
@@ -458,7 +471,8 @@ void bench_kernels(bool quick) {
   // without -ffast-math. Bitwise equality is asserted before timing. ----
   {
     const std::size_t n = quick ? (1u << 14) : (1u << 18);
-    const std::size_t reps = quick ? 400 : 60;
+    const std::size_t blocks = 7;
+    const std::size_t reps = quick ? 60 : 9;
     const std::size_t grain = 1024;  // RoundPipelineOptions::grain
     const double alpha = 7.5;
     const double shift = 0.125;
@@ -498,41 +512,39 @@ void bench_kernels(bool quick) {
     // this kernel row is about; a negated alpha keeps every quotient
     // positive, as divide_max_positive's integer max requires.
     const double talpha = -alpha;
-    WallTimer t_scalar;
-    for (std::size_t r = 0; r < reps; ++r) {
-      double local_max = 0;
-      for (std::size_t lo = 0; lo < n; lo += grain) {
-        const std::size_t hi = std::min(n, lo + grain);
-        for (std::size_t i = lo; i < hi; ++i) {
-          a[i] = -talpha * (ratio[i] - shift);
-          a[i] /= w[i];
-          local_max = std::max(local_max, a[i]);
-        }
-      }
-      sink += local_max;
-    }
-    const double scalar_s = t_scalar.seconds();
-    WallTimer t_vec;
-    for (std::size_t r = 0; r < reps; ++r) {
-      double local_max = 0;
-      for (std::size_t lo = 0; lo < n; lo += grain) {
-        const std::size_t hi = std::min(n, lo + grain);
-        simd::fill_scaled_shift(ratio.data() + lo, b.data() + lo, hi - lo,
-                                talpha, shift);
-        local_max = std::max(
-            local_max,
-            simd::divide_max_positive(b.data() + lo, w.data() + lo, hi - lo));
-      }
-      sink += local_max;
-    }
-    const double vec_s = t_vec.seconds();
-    const double total = static_cast<double>(n) * static_cast<double>(reps);
-    const double base_rate = total / scalar_s;
-    const double fast_rate = total / vec_s;
+    const auto [scalar_s, vec_s] = best_block_seconds(
+        blocks, reps,
+        [&] {
+          double local_max = 0;
+          for (std::size_t lo = 0; lo < n; lo += grain) {
+            const std::size_t hi = std::min(n, lo + grain);
+            for (std::size_t i = lo; i < hi; ++i) {
+              a[i] = -talpha * (ratio[i] - shift);
+              a[i] /= w[i];
+              local_max = std::max(local_max, a[i]);
+            }
+          }
+          sink += local_max;
+        },
+        [&] {
+          double local_max = 0;
+          for (std::size_t lo = 0; lo < n; lo += grain) {
+            const std::size_t hi = std::min(n, lo + grain);
+            simd::fill_scaled_shift(ratio.data() + lo, b.data() + lo,
+                                    hi - lo, talpha, shift);
+            local_max = std::max(
+                local_max, simd::divide_max_positive(
+                               b.data() + lo, w.data() + lo, hi - lo));
+          }
+          sink += local_max;
+        });
+    const double base_rate = static_cast<double>(n) / scalar_s;
+    const double fast_rate = static_cast<double>(n) / vec_s;
     std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx\n", "fill_divmax",
-                n, reps, base_rate, fast_rate, fast_rate / base_rate);
-    report.add({3.0, static_cast<double>(n), static_cast<double>(reps),
-                base_rate, fast_rate, fast_rate / base_rate});
+                n, blocks * reps, base_rate, fast_rate, fast_rate / base_rate);
+    report.add({3.0, static_cast<double>(n),
+                static_cast<double>(blocks * reps), base_rate, fast_rate,
+                fast_rate / base_rate});
   }
 
   // Kernels 4 and 5 run on the dense benchmark instance's shape: gnm
@@ -546,7 +558,8 @@ void bench_kernels(bool quick) {
   // ---- Kernel 4: zeta row grouping, keys/sec. The reference is the
   // comparison sort the round pipeline used before (sort + unique). ----
   {
-    const std::size_t reps = quick ? 20 : 60;
+    const std::size_t blocks = 7;
+    const std::size_t reps = quick ? 3 : 9;
     const auto levels = static_cast<std::uint64_t>(dense_lg.num_levels());
     std::vector<std::uint64_t> keys;
     for (const EdgeId e : dense_lg.retained()) {
@@ -577,27 +590,24 @@ void bench_kernels(bool quick) {
                    "FATAL: DenseKeySet rows differ from sort + unique\n");
       std::exit(1);
     }
-    WallTimer t_sort;
-    for (std::size_t r = 0; r < reps; ++r) {
-      run_sort();
-      sink += static_cast<double>(sorted.size());
-    }
-    const double sort_s = t_sort.seconds();
-    WallTimer t_set;
-    for (std::size_t r = 0; r < reps; ++r) {
-      run_set();
-      sink += static_cast<double>(listed.size());
-    }
-    const double set_s = t_set.seconds();
-    const double total =
-        static_cast<double>(keys.size()) * static_cast<double>(reps);
+    const auto [sort_s, set_s] = best_block_seconds(
+        blocks, reps,
+        [&] {
+          run_sort();
+          sink += static_cast<double>(sorted.size());
+        },
+        [&] {
+          run_set();
+          sink += static_cast<double>(listed.size());
+        });
+    const auto total = static_cast<double>(keys.size());
     const double base_rate = total / sort_s;
     const double fast_rate = total / set_s;
     std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx  (rows %zu)\n",
-                "zeta_rows", keys.size(), reps, base_rate, fast_rate,
-                fast_rate / base_rate, listed.size());
+                "zeta_rows", keys.size(), blocks * reps, base_rate,
+                fast_rate, fast_rate / base_rate, listed.size());
     report.add({4.0, static_cast<double>(keys.size()),
-                static_cast<double>(reps), base_rate, fast_rate,
+                static_cast<double>(blocks * reps), base_rate, fast_rate,
                 fast_rate / base_rate});
   }
 
@@ -606,7 +616,8 @@ void bench_kernels(bool quick) {
   // union subgraph; the fast side restricts the per-solve order (built
   // once, untimed, as the pipeline builds it once per solve). ----
   {
-    const std::size_t reps = quick ? 20 : 60;
+    const std::size_t blocks = 7;
+    const std::size_t reps = quick ? 3 : 9;
     std::vector<EdgeId> ids;
     for (EdgeId e = 0; e < dense.num_edges(); ++e) {
       if (rng.uniform(4) != 0) ids.push_back(e);
@@ -631,27 +642,24 @@ void bench_kernels(bool quick) {
                    "sort\n");
       std::exit(1);
     }
-    WallTimer t_sort;
-    for (std::size_t r = 0; r < reps; ++r) {
-      run_sort();
-      sink += static_cast<double>(sorted[r % sorted.size()]);
-    }
-    const double sort_s = t_sort.seconds();
-    WallTimer t_restrict;
-    for (std::size_t r = 0; r < reps; ++r) {
-      const std::vector<EdgeId> local = order.restrict_to(ids);
-      sink += static_cast<double>(local[r % local.size()]);
-    }
-    const double restrict_s = t_restrict.seconds();
-    const double total =
-        static_cast<double>(ids.size()) * static_cast<double>(reps);
+    const auto [sort_s, restrict_s] = best_block_seconds(
+        blocks, reps,
+        [&] {
+          run_sort();
+          sink += static_cast<double>(sorted[sorted.size() / 2]);
+        },
+        [&] {
+          const std::vector<EdgeId> local = order.restrict_to(ids);
+          sink += static_cast<double>(local[local.size() / 2]);
+        });
+    const auto total = static_cast<double>(ids.size());
     const double base_rate = total / sort_s;
     const double fast_rate = total / restrict_s;
     std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx\n", "offline_ord",
-                ids.size(), reps, base_rate, fast_rate,
+                ids.size(), blocks * reps, base_rate, fast_rate,
                 fast_rate / base_rate);
     report.add({5.0, static_cast<double>(ids.size()),
-                static_cast<double>(reps), base_rate, fast_rate,
+                static_cast<double>(blocks * reps), base_rate, fast_rate,
                 fast_rate / base_rate});
   }
 

@@ -2,8 +2,8 @@
 # Tier-1 verify plus the hot-path micro benchmark and the determinism
 # gates.
 #
-# Configures with DP_WERROR=ON so any -Wall -Wextra warning in src/core is
-# a build failure, runs the full test suite through ctest, runs
+# Configures with DP_WERROR=ON so any -Wall -Wextra warning in src/core or
+# src/sparsify is a build failure, runs the full test suite through ctest, runs
 # bench_micro --quick (which also sanity-checks flat-vs-map agreement and
 # refreshes BENCH_micro.json), then bench_runtime (which gates bitwise
 # 1/2/8-thread x join-placement stability — the solver joins each round's

@@ -1,6 +1,7 @@
 #include "sparsify/deferred.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -10,46 +11,81 @@
 
 namespace dp {
 
+namespace {
+
+/// floor(log2(p)) for a positive p. A normal double's exponent field is
+/// that value, but libm's log2 rounds to the next integer for mantissas
+/// just below a power of two, so the band within 2^-32 of one (either
+/// side) and the subnormals take the libm path; outside the band the
+/// computed log2 stays far more than an ulp from any integer.
+int weight_class(double p) {
+  constexpr std::uint64_t kFraction = (std::uint64_t{1} << 52) - 1;
+  constexpr std::uint64_t kBand = std::uint64_t{1} << 20;
+  const auto bits = std::bit_cast<std::uint64_t>(p);
+  const auto exponent = static_cast<int>(bits >> 52);  // sign bit clear
+  const std::uint64_t fraction = bits & kFraction;
+  if (exponent == 0 || exponent == 0x7ff || fraction < kBand ||
+      fraction > kFraction - kBand) {
+    return static_cast<int>(std::floor(std::log2(p)));
+  }
+  return exponent - 1023;
+}
+
+}  // namespace
+
 void group_weight_classes(const std::vector<double>& promise,
                           DeferredScratch& scratch) {
   constexpr std::int16_t kNoClass = std::numeric_limits<std::int16_t>::min();
+  // floor(log2) of a positive finite double lies in [-1074, 1024] (libm
+  // rounds log2 of the doubles just below 2^1024 up to 1024), so every
+  // class fits the int16 per-edge cache and one fixed-size count table.
+  constexpr int kMinClass = -1074;
+  constexpr std::size_t kClasses = 1024 - kMinClass + 1;
   const std::size_t num_edges = promise.size();
-  // floor(log2) of a positive finite double lies in [-1074, 1023], so every
-  // class fits the int16 per-edge cache (computed once, read twice).
   scratch.edge_class.resize(num_edges);
-  int lo = std::numeric_limits<int>::max();
-  int hi = std::numeric_limits<int>::min();
+  std::vector<std::size_t>& offsets = scratch.class_offsets;
+  offsets.assign(kClasses, 0);
   for (std::size_t e = 0; e < num_edges; ++e) {
     if (!(promise[e] > 0)) {
       scratch.edge_class[e] = kNoClass;
       continue;
     }
-    const int cls = static_cast<int>(std::floor(std::log2(promise[e])));
+    const int cls = weight_class(promise[e]);
     scratch.edge_class[e] = static_cast<std::int16_t>(cls);
-    lo = std::min(lo, cls);
-    hi = std::max(hi, cls);
+    ++offsets[static_cast<std::size_t>(cls - kMinClass)];
   }
-  scratch.class_keys.clear();
-  if (lo > hi) return;
-  // Counting pass over [lo, hi]; edges are visited in ascending order, so
-  // each class lists its edges ascending — the order std::sort gives the
-  // packed keys, whose biased class offset keeps negative classes first.
-  std::vector<std::size_t>& offsets = scratch.class_offsets;
-  offsets.assign(static_cast<std::size_t>(hi - lo) + 2, 0);
-  for (const std::int16_t cls : scratch.edge_class) {
-    if (cls != kNoClass) ++offsets[static_cast<std::size_t>(cls - lo) + 1];
+  std::size_t total = 0;
+  for (std::size_t& slot : offsets) {
+    const std::size_t count = slot;
+    slot = total;
+    total += count;
   }
-  for (std::size_t c = 1; c < offsets.size(); ++c) {
-    offsets[c] += offsets[c - 1];
-  }
-  scratch.class_keys.resize(offsets.back());
+  // Edges are visited in ascending order, so each class lists its edges
+  // ascending — the order std::sort gives the packed keys, whose biased
+  // class offset keeps negative classes first. Equal classes come in runs
+  // (a dense round's floor class holds most edges), so the current run's
+  // write cursor stays in a local and goes back to its class when the run
+  // ends.
+  scratch.class_keys.resize(total);
+  std::int16_t run = kNoClass;
+  std::size_t cursor = 0;
+  std::uint64_t tag = 0;
   for (std::size_t e = 0; e < num_edges; ++e) {
     const std::int16_t cls = scratch.edge_class[e];
-    if (cls == kNoClass) continue;
-    const auto biased = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(cls) + (std::int64_t{1} << 31));
-    scratch.class_keys[offsets[static_cast<std::size_t>(cls - lo)]++] =
-        (biased << 32) | static_cast<std::uint64_t>(e);
+    if (cls != run) {
+      if (run != kNoClass) {
+        offsets[static_cast<std::size_t>(run - kMinClass)] = cursor;
+      }
+      run = cls;
+      if (cls == kNoClass) continue;
+      cursor = offsets[static_cast<std::size_t>(cls - kMinClass)];
+      tag = static_cast<std::uint64_t>(static_cast<std::int64_t>(cls) +
+                                       (std::int64_t{1} << 31))
+            << 32;
+    } else if (cls == kNoClass) {
+      continue;
+    }
+    scratch.class_keys[cursor++] = tag | static_cast<std::uint64_t>(e);
   }
 }
 
@@ -84,6 +120,8 @@ void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
   const double rho = options.sampling_constant * options.gamma *
                      options.gamma * log_n / (options.xi * options.xi);
 
+  scratch.memo_next.clear();
+  std::size_t prev = 0;  // cursor into the previous call's memo
   std::size_t lo = 0;
   while (lo < scratch.class_keys.size()) {
     const std::uint64_t cls_bits = scratch.class_keys[lo] >> 32;
@@ -92,26 +130,47 @@ void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
            (scratch.class_keys[hi] >> 32) == cls_bits) {
       ++hi;
     }
+    const std::size_t count = hi - lo;
     // Gather the class subgraph through the batched fetch.
     scratch.class_members.clear();
-    scratch.class_members.reserve(hi - lo);
+    scratch.class_members.reserve(count);
     for (std::size_t i = lo; i < hi; ++i) {
       scratch.class_members.push_back(
           static_cast<std::uint32_t>(scratch.class_keys[i] & 0xffffffffULL));
     }
-    scratch.class_edges.resize(hi - lo);
-    fetch(scratch.class_members.data(), hi - lo,
-          scratch.class_edges.data());
+    scratch.class_edges.resize(count);
+    fetch(scratch.class_members.data(), count, scratch.class_edges.data());
+
+    // The class's memo entry (classes ascend in both calls): its level-0
+    // placements still hold iff the class has the same member indices,
+    // as an index names the same edge on every call (see the header).
+    while (prev < scratch.memo.size() && scratch.memo[prev].cls < cls_bits) {
+      ++prev;
+    }
+    Level0Memo entry;
+    if (prev < scratch.memo.size() && scratch.memo[prev].cls == cls_bits) {
+      entry = std::move(scratch.memo[prev++]);
+    }
+    entry.cls = cls_bits;
+    const bool packed = entry.members == scratch.class_members;
     // Per-class seed is a pure function of (seed, class), so dropping or
     // adding a class never shifts the draws of the others.
     estimate_strengths_into(n, scratch.class_edges, rng.bits(cls_bits),
-                            scratch.class_strength, scratch.strength, pool);
+                            scratch.class_strength,
+                            Level0Placements{entry.placement, packed},
+                            scratch.strength, pool);
+    if (!packed) entry.members = scratch.class_members;
+    scratch.memo_next.push_back(std::move(entry));
     for (std::size_t i = lo; i < hi; ++i) {
       prob[scratch.class_keys[i] & 0xffffffffULL] =
           std::min(1.0, rho / scratch.class_strength[i - lo]);
     }
     lo = hi;
   }
+  // Keep this call's classes; the entries of classes that are gone (and
+  // the moved-from shells) are freed.
+  scratch.memo.swap(scratch.memo_next);
+  scratch.memo_next.clear();
 }
 
 std::vector<double> deferred_probabilities(std::size_t n,

@@ -14,6 +14,14 @@
 // multipliers drift by at most e^eps per iteration, so gamma =
 // e^{eps * iterations} bounds the drift and the oversampled structure covers
 // every intermediate weight vector.
+//
+// Probabilities come per weight class from strength estimation
+// (sparsify/strength). Between rounds most classes keep the same edges
+// (a dense round's floor class holds the same ~94% of the edges round
+// after round), and a class's level-0 forest packing depends only on its
+// edges, so DeferredScratch memoizes it per class, keyed on the class's
+// member indices; only the seed-dependent subsampled levels are packed
+// again.
 
 #include <cstdint>
 #include <functional>
@@ -38,8 +46,18 @@ struct DeferredOptions {
   double sampling_constant = 12.0;
 };
 
-/// Reusable buffers for deferred_probabilities_into: weight-class grouping
-/// plus the strength scratch. One instance serves any sequence of rounds.
+/// One weight class's level-0 forest packing, kept across rounds: the
+/// class's member indices (ascending) and the placements a packing of
+/// exactly those edges wrote. 8 B per class edge.
+struct Level0Memo {
+  std::uint64_t cls = 0;                // biased class bits
+  std::vector<std::uint32_t> members;   // edge indices the placements are of
+  std::vector<std::uint32_t> placement;
+};
+
+/// Reusable buffers for deferred_probabilities_into: weight-class grouping,
+/// the level-0 memo plus the strength scratch. One instance serves any
+/// sequence of rounds.
 struct DeferredScratch {
   std::vector<std::uint64_t> class_keys;   // packed (class, edge index)
   std::vector<std::int16_t> edge_class;    // per-edge class cache
@@ -47,6 +65,11 @@ struct DeferredScratch {
   std::vector<std::uint32_t> class_members;  // per-class member indices
   std::vector<Edge> class_edges;           // per-class subgraph, reused
   std::vector<double> class_strength;      // per-class strengths, reused
+  // Level-0 memo: one entry per class of the latest call, ascending by
+  // class (entries of classes that are gone are dropped). Only a
+  // speed-up: a resumed solve starts it empty.
+  std::vector<Level0Memo> memo;
+  std::vector<Level0Memo> memo_next;  // being filled by the current call
   StrengthScratch strength;
 };
 
@@ -54,7 +77,10 @@ struct DeferredScratch {
 /// packed (floor(log2 promise) + 2^31) << 32 | edge index keys, sorted
 /// ascending — by class, then by edge — in O(m + class range) with one
 /// counting pass; the sequence equals std::sort of the same keys.
-/// Non-positive (and NaN) promises get no key.
+/// Non-positive (and NaN) promises get no key. The class is read from the
+/// double's exponent field; subnormals and mantissas within 2^-32 of a
+/// power of two take std::floor(std::log2(p)), whose rounding there can
+/// differ from the exponent, so every class equals the libm one.
 void group_weight_classes(const std::vector<double>& promise,
                           DeferredScratch& scratch);
 
@@ -74,6 +100,14 @@ using DeferredEdgeFetch = std::function<void(
 /// (seed, class)), and the strength estimation inside each class runs its
 /// per-level jobs on `pool` — so the output is bitwise identical for any
 /// thread count. `num_edges` is the index-space size (== promise.size()).
+/// A class whose member indices equal its memo entry from the previous
+/// call reuses the entry's level-0 placements (level 0 packs every class
+/// edge in order and does not depend on the seed), skipping that packing
+/// and its region split; the output is the same either way. The memo
+/// therefore assumes that `fetch` returns the same edge for an index on
+/// every call through one scratch, as a solve's substrate does; a caller
+/// that rewrites the edges behind the indices clears `scratch.memo` (or
+/// takes a fresh scratch) first.
 void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
                                  const DeferredEdgeFetch& fetch,
                                  const std::vector<double>& promise,

@@ -87,67 +87,78 @@ std::size_t build_level0_regions(std::size_t n,
 void estimate_strengths_into(std::size_t n, const std::vector<Edge>& edges,
                              std::uint64_t seed,
                              std::vector<double>& strength,
+                             Level0Placements level0,
                              StrengthScratch& scratch, ThreadPool* pool) {
   const std::size_t m = edges.size();
-  strength.assign(m, 1.0);
-  if (m == 0 || n == 0) return;
+  strength.resize(m);
+  if (!level0.packed) level0.placement.resize(m);
+  if (m == 0) return;
+  if (n == 0) {
+    std::fill(strength.begin(), strength.end(), 1.0);
+    return;
+  }
 
   const auto levels = static_cast<std::size_t>(subsample_levels(m));
   const std::size_t k_min = strength_k_min(n);
 
   // Counter-based subsample depths: a pure function of (seed, e), so the
-  // grouping below is independent of evaluation order.
+  // grouping below is independent of evaluation order. Edge e belongs to
+  // levels 0..cap[e]. Levels >= 1 are nested filter passes in ascending
+  // edge order: level 1 (cap >= 1) is filtered while the caps are drawn,
+  // level i keeps level i - 1's edges with cap >= i, and the caps sum to
+  // their total size. A filter writes every candidate and advances past
+  // the kept ones (branch-free), so the buffer has one spare slot.
   const CounterRng rng(seed);
   scratch.level_cap.resize(m);
+  std::uint8_t* cap = scratch.level_cap.data();
+  if (scratch.level_members.size() <= m) scratch.level_members.resize(m + 1);
+  std::uint32_t* members = scratch.level_members.data();
+  std::size_t deeper = 0;
+  std::size_t kept = 0;
   for (std::size_t e = 0; e < m; ++e) {
-    scratch.level_cap[e] = static_cast<std::uint8_t>(
+    const auto c = static_cast<std::uint8_t>(
         std::min<int>(static_cast<int>(levels) - 1,
                       rng.coin_flips_until_tail(e, 0)));
+    cap[e] = c;
+    deeper += c;
+    members[kept] = static_cast<std::uint32_t>(e);
+    kept += static_cast<std::size_t>(c > 0);
   }
+  if (scratch.level_members.size() <= deeper) {
+    scratch.level_members.resize(deeper + 1);
+    members = scratch.level_members.data();
+  }
+  scratch.level_offset.assign(1, 0);
+  for (std::size_t i = 1; kept > scratch.level_offset.back(); ++i) {
+    const std::size_t begin = scratch.level_offset.back();
+    scratch.level_offset.push_back(static_cast<std::uint32_t>(kept));
+    for (std::size_t pos = begin; pos < scratch.level_offset[i]; ++pos) {
+      const std::uint32_t e = members[pos];
+      members[kept] = e;
+      kept += static_cast<std::size_t>(cap[e] > i);
+    }
+  }
+  // Nested subsamples: every level past the first empty one is empty.
+  const std::size_t deep_levels = scratch.level_offset.size() - 1;
 
-  // CSR of level membership: edge e participates in levels 0..cap[e], so
-  // level i holds the edges with cap >= i — a suffix sum of the cap
-  // histogram. Level 0 is every edge in ascending order (positions
-  // [0, m) are the edge ids), so only levels >= 1 are written out.
-  scratch.level_offset.assign(levels + 1, 0);
-  for (std::size_t e = 0; e < m; ++e) {
-    ++scratch.level_offset[scratch.level_cap[e] + 1];
-  }
-  for (std::size_t i = levels - 1; i-- > 0;) {
-    scratch.level_offset[i + 1] += scratch.level_offset[i + 2];
-  }
-  std::size_t used_levels = levels;
-  for (std::size_t i = 0; i < levels; ++i) {
-    if (scratch.level_offset[i + 1] == 0) {
-      used_levels = i;  // nested subsamples: all deeper levels empty too
-      break;
-    }
-    scratch.level_offset[i + 1] += scratch.level_offset[i];
-  }
-  scratch.level_members.resize(scratch.level_offset[used_levels] - m);
-  scratch.cursor.assign(scratch.level_offset.begin(),
-                        scratch.level_offset.begin() +
-                            static_cast<std::ptrdiff_t>(used_levels));
-  for (std::size_t e = 0; e < m; ++e) {
-    for (std::size_t i = 1; i <= scratch.level_cap[e]; ++i) {
-      scratch.level_members[scratch.cursor[i]++ - m] =
-          static_cast<std::uint32_t>(e);
-    }
-  }
+  std::uint32_t* placement = level0.placement.data();
 
   // Independent forest-packing jobs, each sequential in edge order and
-  // writing only its own candidate slice — deterministic for any thread
+  // writing only its own output slice — deterministic for any thread
   // count. Level 0 holds EVERY edge; with a pool it splits into
   // vertex-disjoint region jobs (balanced component buckets) so it does
   // not serialize the pass. Forest packing never crosses a component
   // boundary — an edge's placement index depends only on the earlier
   // edges of its own component — so per-region packing in ascending edge
   // order reproduces the serial placement indices exactly. Without a pool
-  // level 0 is one job. Levels >= 1 are subsamples and stay one job each.
-  scratch.candidate.resize(scratch.level_offset[used_levels]);
-  std::size_t regions = 1;
-  if (pool != nullptr) regions = build_level0_regions(n, edges, scratch);
-  const std::size_t jobs = regions + (used_levels - 1);
+  // level 0 is one job, and with placements handed in it is none. Levels
+  // >= 1 are subsamples and stay one job each.
+  scratch.candidate.resize(kept);
+  std::size_t regions = 0;
+  if (!level0.packed) {
+    regions = pool != nullptr ? build_level0_regions(n, edges, scratch) : 1;
+  }
+  const std::size_t jobs = regions + deep_levels;
   if (scratch.packers.size() < jobs) {
     scratch.packers.resize(jobs);
   }
@@ -155,10 +166,9 @@ void estimate_strengths_into(std::size_t n, const std::vector<Edge>& edges,
     detail::ForestPacker& packer = scratch.packers[job];
     packer.reset(n);
     if (job < regions) {
-      // Level 0's positions coincide with edge ids.
       if (pool == nullptr) {
         for (std::size_t e = 0; e < m; ++e) {
-          scratch.candidate[e] = static_cast<double>(
+          placement[e] = static_cast<std::uint32_t>(
               packer.insert(edges[e].u, edges[e].v));
         }
         return;
@@ -166,32 +176,32 @@ void estimate_strengths_into(std::size_t n, const std::vector<Edge>& edges,
       for (std::size_t pos = scratch.region_offset[job];
            pos < scratch.region_offset[job + 1]; ++pos) {
         const std::uint32_t e = scratch.region_members[pos];
-        scratch.candidate[e] = static_cast<double>(
+        placement[e] = static_cast<std::uint32_t>(
             packer.insert(edges[e].u, edges[e].v));
       }
       return;
     }
     const std::size_t i = job - regions + 1;
     const double scale = std::pow(2.0, static_cast<double>(i));
-    for (std::size_t pos = scratch.level_offset[i];
-         pos < scratch.level_offset[i + 1]; ++pos) {
-      const std::uint32_t e = scratch.level_members[pos - m];
+    for (std::size_t pos = scratch.level_offset[i - 1];
+         pos < scratch.level_offset[i]; ++pos) {
+      const std::uint32_t e = members[pos];
       const std::size_t j = packer.insert(edges[e].u, edges[e].v);
       scratch.candidate[pos] =
           j >= k_min ? static_cast<double>(j) * scale : 0.0;
     }
   });
 
-  // Combine in level order (max is exact, so the order is irrelevant for
-  // the value — it just keeps the pass cache-friendly).
+  // Combine: level 0's placement j >= 1 is the floor, then the deeper
+  // certificates in level order (max is exact, so the order is irrelevant
+  // for the value — it just keeps the pass cache-friendly; std::max keeps
+  // it branch-free, and no value is NaN).
   for (std::size_t e = 0; e < m; ++e) {
-    if (scratch.candidate[e] > strength[e]) strength[e] = scratch.candidate[e];
+    strength[e] = static_cast<double>(placement[e]);
   }
-  for (std::size_t pos = m; pos < scratch.level_offset[used_levels]; ++pos) {
-    const std::uint32_t e = scratch.level_members[pos - m];
-    if (scratch.candidate[pos] > strength[e]) {
-      strength[e] = scratch.candidate[pos];
-    }
+  for (std::size_t pos = 0; pos < kept; ++pos) {
+    const std::uint32_t e = members[pos];
+    strength[e] = std::max(strength[e], scratch.candidate[pos]);
   }
 }
 

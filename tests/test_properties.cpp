@@ -66,8 +66,10 @@ TEST_P(SeedSweep, StrengthsAtLeastOneAndBridgesWeak) {
   const std::uint64_t seed = GetParam();
   const Graph g = gen::gnm(40, 160, seed + 2000);
   std::vector<double> strengths;
+  std::vector<std::uint32_t> level0;
   StrengthScratch scratch;
-  estimate_strengths_into(40, g.edges(), seed, strengths, scratch);
+  estimate_strengths_into(40, g.edges(), seed, strengths, {level0, false},
+                          scratch);
   for (double s : strengths) EXPECT_GE(s, 1.0);
 }
 

@@ -4,8 +4,9 @@
 //  - zeta row grouping (DenseKeySet) vs std::sort + std::unique, keys up to
 //    the n * L - 1 edge of the key space, and each row's rank;
 //  - weight-class grouping (group_weight_classes) vs std::sort of the
-//    packed (class, edge) keys, promises spanning negative classes and the
-//    extremes of the double range;
+//    packed (class, edge) keys, promises spanning negative classes, the
+//    extremes of the double range and every power of two with both
+//    neighbours;
 //  - every weight-ordered matching core fed a WeightOrder restriction vs
 //    its sorting wrapper, with small integer weights so ties are common.
 
@@ -119,6 +120,19 @@ TEST(SortFree, WeightClassGroupingMatchesSort) {
     ASSERT_EQ(scratch.class_keys, sorted_class_keys(promise))
         << "seed " << seed;
   }
+  // Every power of two and both neighbours: the exponent field and libm's
+  // floor(log2) disagree just below a power of two, and the subnormals
+  // carry no implicit bit.
+  std::vector<double> powers;
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    powers.push_back(std::nextafter(p, 0.0));
+    powers.push_back(p);
+    powers.push_back(
+        std::nextafter(p, std::numeric_limits<double>::infinity()));
+  }
+  group_weight_classes(powers, scratch);
+  ASSERT_EQ(scratch.class_keys, sorted_class_keys(powers));
   std::vector<double> none = {0.0, -1.0};
   group_weight_classes(none, scratch);
   EXPECT_TRUE(scratch.class_keys.empty());

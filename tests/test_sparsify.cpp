@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 
 #include "graph/generators.hpp"
 #include "graph/union_find.hpp"
@@ -34,8 +36,10 @@ TEST(Strength, BridgeIsWeakCliqueIsStrong) {
   }
   g.add_edge(0, 8);  // bridge, last edge
   std::vector<double> strength;
+  std::vector<std::uint32_t> level0;
   StrengthScratch scratch;
-  estimate_strengths_into(16, g.edges(), 5, strength, scratch);
+  estimate_strengths_into(16, g.edges(), 5, strength, {level0, false},
+                          scratch);
   const double bridge = strength.back();
   double clique_avg = 0;
   for (std::size_t e = 0; e + 1 < strength.size(); ++e) {
@@ -102,8 +106,9 @@ TEST(Strength, IntoIsBitwiseThreadCountInvariant) {
   const std::uint64_t seed = 1234;
   StrengthScratch scratch;
   std::vector<double> reference;
+  std::vector<std::uint32_t> level0;
   estimate_strengths_into(g.num_vertices(), g.edges(), seed, reference,
-                          scratch);
+                          {level0, false}, scratch);
   ASSERT_EQ(reference.size(), g.num_edges());
   for (double s : reference) EXPECT_GE(s, 1.0);
   for (const std::size_t threads : {2, 8}) {
@@ -111,8 +116,8 @@ TEST(Strength, IntoIsBitwiseThreadCountInvariant) {
     StrengthScratch fresh;
     std::vector<double> out;
     for (int rep = 0; rep < 2; ++rep) {  // second rep reuses the scratch
-      estimate_strengths_into(g.num_vertices(), g.edges(), seed, out, fresh,
-                              &pool);
+      estimate_strengths_into(g.num_vertices(), g.edges(), seed, out,
+                              {level0, false}, fresh, &pool);
       EXPECT_EQ(out, reference) << threads << " threads, rep " << rep;
     }
   }
@@ -121,11 +126,43 @@ TEST(Strength, IntoIsBitwiseThreadCountInvariant) {
   StrengthScratch dense_scratch;
   std::vector<double> dense_ref, dense_out;
   estimate_strengths_into(dense.num_vertices(), dense.edges(), seed,
-                          dense_ref, dense_scratch);
+                          dense_ref, {level0, false}, dense_scratch);
   ThreadPool pool(4);
   estimate_strengths_into(dense.num_vertices(), dense.edges(), seed,
-                          dense_out, dense_scratch, &pool);
+                          dense_out, {level0, false}, dense_scratch, &pool);
   EXPECT_EQ(dense_out, dense_ref);
+}
+
+TEST(Strength, HandedBackLevel0PlacementsMatchRepacking) {
+  // Level 0 packs every edge in order, so its placements do not depend on
+  // the seed: placements packed under one seed and handed back under
+  // another give the strengths of a fresh packing.
+  const Graph g = disconnected_blobs(4, 15, 70, 33);
+  const std::size_t n = g.num_vertices();
+  std::vector<std::uint32_t> level0;
+  StrengthScratch scratch;
+  std::vector<double> out;
+  estimate_strengths_into(n, g.edges(), 1, out, {level0, false}, scratch);
+  ASSERT_EQ(level0.size(), g.num_edges());
+  detail::ForestPacker packer(n);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    ASSERT_EQ(level0[e], packer.insert(g.edge(e).u, g.edge(e).v));
+  }
+  ThreadPool pool(4);
+  for (const std::uint64_t seed : {2, 3, 4}) {
+    StrengthScratch fresh;
+    std::vector<std::uint32_t> fresh_level0;
+    std::vector<double> want;
+    estimate_strengths_into(n, g.edges(), seed, want, {fresh_level0, false},
+                            fresh);
+    EXPECT_EQ(fresh_level0, level0) << "seed " << seed;
+    estimate_strengths_into(n, g.edges(), seed, out, {level0, true},
+                            scratch);
+    EXPECT_EQ(out, want) << "seed " << seed;
+    estimate_strengths_into(n, g.edges(), seed, out, {level0, true}, scratch,
+                            &pool);
+    EXPECT_EQ(out, want) << "seed " << seed << ", pool";
+  }
 }
 
 class SparsifierQualityParam
@@ -293,6 +330,130 @@ TEST(Deferred, ProbabilitiesThreadCountInvariantAndScratchReusable) {
           promise, opt, 11, prob, scratch, &pool);
       EXPECT_EQ(prob, reference) << "threads " << threads;
     }
+  }
+}
+
+/// One deferred call through `scratch` over an in-memory edge vector.
+std::vector<double> deferred_through(DeferredScratch& scratch, std::size_t n,
+                                     const std::vector<Edge>& edges,
+                                     const std::vector<double>& promise,
+                                     const DeferredOptions& opt,
+                                     std::uint64_t seed, ThreadPool* pool) {
+  std::vector<double> prob;
+  deferred_probabilities_into(
+      n, edges.size(),
+      [&edges](const std::uint32_t* idxs, std::size_t count, Edge* out) {
+        for (std::size_t i = 0; i < count; ++i) out[i] = edges[idxs[i]];
+      },
+      promise, opt, seed, prob, scratch, pool);
+  return prob;
+}
+
+std::vector<std::uint64_t> memo_classes(const DeferredScratch& scratch) {
+  std::vector<std::uint64_t> classes;
+  for (const Level0Memo& entry : scratch.memo) classes.push_back(entry.cls);
+  return classes;
+}
+
+TEST(Deferred, Level0MemoIsExact) {
+  // A scratch kept across rounds reuses each class's level-0 placements
+  // while the class keeps the same member indices. Every round must be
+  // bitwise equal to a memo-free computation (a fresh scratch): on a hit,
+  // a miss, one edge changing class, two edges swapping classes, a class
+  // that disappears and returns, rewritten edges behind a cleared memo
+  // and a grown index space, with and without a pool (a pool packs
+  // level 0 as vertex-disjoint regions).
+  const Graph g = disconnected_blobs(5, 16, 160, 55);
+  const std::size_t n = g.num_vertices();
+  std::vector<Edge> edges = g.edges();
+  // Four weight classes with a few hundred edges each.
+  Rng rng(56);
+  std::vector<double> promise(edges.size());
+  for (double& p : promise) {
+    p = std::ldexp(1.5, static_cast<int>(rng.uniform(4)));
+  }
+  DeferredOptions opt;
+  opt.xi = 0.4;
+  opt.sampling_constant = 0.3;
+  const double gone_class = std::ldexp(1.5, 2);
+  std::size_t first = 0;  // an edge of the class that goes away
+  while (promise[first] != gone_class) ++first;
+  std::size_t other = 0;  // an edge of another class, for the swap
+  while (promise[other] == gone_class) ++other;
+
+  for (const std::size_t threads : {0, 4}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    DeferredScratch scratch;
+    std::uint64_t seed = 100;
+    auto expect_exact = [&](const char* what) {
+      ++seed;
+      const std::vector<double> got = deferred_through(
+          scratch, n, edges, promise, opt, seed, pool.get());
+      EXPECT_EQ(got, deferred_probabilities(n, edges, promise, opt, seed))
+          << what << ", " << threads << " threads";
+    };
+    expect_exact("first call (all miss)");
+    ASSERT_EQ(scratch.memo.size(), 4u);
+    expect_exact("unchanged classes (all hit)");
+
+    // A hit reads the memo: poisoned placements show in the output, and
+    // a miss repacks past them.
+    {
+      DeferredScratch poisoned = scratch;
+      for (Level0Memo& entry : poisoned.memo) {
+        for (std::uint32_t& j : entry.placement) j += 1000;
+      }
+      EXPECT_NE(deferred_through(poisoned, n, edges, promise, opt, 7,
+                                 pool.get()),
+                deferred_probabilities(n, edges, promise, opt, 7));
+      for (Level0Memo& entry : poisoned.memo) entry.members.back() ^= 1;
+      EXPECT_EQ(deferred_through(poisoned, n, edges, promise, opt, 7,
+                                 pool.get()),
+                deferred_probabilities(n, edges, promise, opt, 7));
+    }
+
+    const double saved = promise[first];
+    promise[first] = promise[other];
+    expect_exact("one edge changed class");
+    promise[first] = saved;
+    expect_exact("edge back in its class");
+    std::swap(promise[first], promise[other]);
+    expect_exact("two edges swapped classes");
+    std::swap(promise[first], promise[other]);
+    expect_exact("swap undone");
+
+    std::vector<double> kept = promise;
+    for (double& p : promise) {
+      if (p == gone_class) p = 0.0;
+    }
+    expect_exact("class gone");
+    const std::uint64_t gone_bits = std::uint64_t{2 + (1u << 31)};
+    const std::vector<std::uint64_t> classes = memo_classes(scratch);
+    EXPECT_EQ(classes.size(), 3u);
+    EXPECT_EQ(std::count(classes.begin(), classes.end(), gone_bits), 0);
+    promise = kept;
+    expect_exact("class back");
+    EXPECT_EQ(scratch.memo.size(), 4u);
+    expect_exact("class back, hit");
+
+    // The memo assumes an index names the same edge on every call; a
+    // caller that rewrites edges clears it.
+    const Edge edge_saved = edges[first];
+    edges[first].v = (edges[first].v + 1) % static_cast<Vertex>(n);
+    scratch.memo.clear();
+    expect_exact("rewritten edge, memo cleared");
+    edges[first] = edge_saved;
+    scratch.memo.clear();
+    expect_exact("edge restored, memo cleared");
+    // Indices appended to the space leave the old ones' edges as they
+    // were, so the memo stays valid.
+    edges.push_back(edges[other]);
+    promise.push_back(promise[other]);
+    expect_exact("one more index");
+    edges.pop_back();
+    promise.pop_back();
+    expect_exact("index removed");
   }
 }
 

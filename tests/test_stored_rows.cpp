@@ -6,7 +6,8 @@
 //    entries and level < 0 edges;
 //  - the label forest packer (detail::ForestPacker) vs the union-find
 //    packer: identical placement indices on random multigraphs with
-//    parallel edges and self-loops.
+//    parallel edges and self-loops, on dense multigraphs whose forests
+//    span all n vertices, and on a class that never touches vertex n - 1.
 
 #include <gtest/gtest.h>
 
@@ -132,6 +133,59 @@ TEST(Strength, LabelPackerMatchesUnionFindPacker) {
           << ")";
     }
   }
+}
+
+/// Pack `edges` with both packers and compare every placement.
+void expect_packers_agree(detail::ForestPacker& packer, std::size_t n,
+                          const std::vector<Edge>& edges, const char* what) {
+  packer.reset(n);
+  bench_ref::UnionFindPacker want(n);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    ASSERT_EQ(packer.insert(edges[e].u, edges[e].v),
+              want.insert(edges[e].u, edges[e].v))
+        << what << " n " << n << " edge " << e << " (" << edges[e].u << ", "
+        << edges[e].v << ")";
+  }
+}
+
+TEST(Strength, SpanningPrefixPackerMatchesUnionFindPacker) {
+  // The packer starts each search after the forests that span all n
+  // vertices. Dense multigraphs (small n, m >> n) open many spanning
+  // forests; the self-loops come after the forests span, and the class
+  // that never touches vertex n - 1 never has a spanning forest.
+  detail::ForestPacker packer;  // reused across n: stale forests must die
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    Rng rng(500 + seed);
+    const std::size_t n = 2 + rng.uniform(12);
+    std::vector<Edge> dense;
+    for (std::size_t e = 0; e < 300 * n; ++e) {
+      const auto u = static_cast<Vertex>(rng.uniform(n));
+      auto v = static_cast<Vertex>(rng.uniform(n - 1));
+      if (v >= u) ++v;  // no self-loop yet
+      dense.push_back(Edge{u, v, 1.0});
+    }
+    for (std::size_t e = 0; e < 40 * n; ++e) {
+      const auto u = static_cast<Vertex>(rng.uniform(n));
+      dense.push_back(Edge{u, rng.uniform(3) == 0
+                                  ? u
+                                  : static_cast<Vertex>(rng.uniform(n)),
+                           1.0});
+    }
+    expect_packers_agree(packer, n, dense, "dense");
+
+    std::vector<Edge> partial;  // vertex n - 1 stays isolated
+    for (std::size_t e = 0; e < 200 * n; ++e) {
+      const auto u = static_cast<Vertex>(rng.uniform(n - 1));
+      partial.push_back(Edge{u, rng.uniform(10) == 0
+                                    ? u
+                                    : static_cast<Vertex>(rng.uniform(n - 1)),
+                             1.0});
+    }
+    expect_packers_agree(packer, n, partial, "partial");
+  }
+  // One vertex: every forest spans as it opens; every edge is a self-loop.
+  expect_packers_agree(packer, 1, std::vector<Edge>(20, Edge{0, 0, 1.0}),
+                       "single vertex");
 }
 
 TEST(Strength, SelfLoopOpensAForestAndMergesNothing) {
